@@ -36,8 +36,8 @@
 use ccc_bench::engine::cache::write_atomic;
 use ccc_bench::history::{self, SentinelConfig};
 use ccc_core::schemes::stream::StreamConfig;
-use ccc_core::schemes::{byte::ByteScheme, full::FullScheme, pair::PairScheme};
-use ccc_core::schemes::{decode_blocks, stream::StreamScheme, BlockCodec, Scheme};
+use ccc_core::schemes::{decode_blocks, pair::PairScheme, BlockCodec, Scheme};
+use ccc_core::schemes::{scheme_by_name, EncodingClass, BYTE, MATRIX, STREAM};
 use ccc_telemetry::ledger::{self, Fingerprint};
 use criterion::Criterion;
 use std::fmt::Write as _;
@@ -328,13 +328,10 @@ fn pair_workload(p: &Program) -> DecodeWorkload {
     DecodeWorkload::new(vec![pair_book, single_book], order, syms)
 }
 
-fn scheme_for(name: &'static str) -> Box<dyn Scheme> {
-    match name {
-        "byte" => Box::new(ByteScheme::default()),
-        "full" => Box::new(FullScheme::default()),
-        "pair" => Box::new(PairScheme::default()),
-        other => Box::new(StreamScheme::named(other).unwrap()),
-    }
+/// A registered scheme, or the `pair` extension codec (which the
+/// registry does not hold).
+fn scheme_for(name: &str) -> Box<dyn Scheme> {
+    scheme_by_name(name).unwrap_or_else(|| Box::new(PairScheme::default()))
 }
 
 /// One scheme measured across every workload program: the kernel
@@ -757,8 +754,12 @@ fn main() {
     }
     let names: Vec<String> = programs.iter().map(|(n, _)| n.clone()).collect();
 
-    let rows: Vec<SchemeRow> = ["byte", "stream", "stream_1", "full", "pair"]
+    // Every Huffman scheme of the matrix, plus the pair extension.
+    let rows: Vec<SchemeRow> = MATRIX
         .iter()
+        .filter(|e| e.class == EncodingClass::Compressed)
+        .map(|e| e.name)
+        .chain(["pair"])
         .map(|s| build_row(s, &programs))
         .collect();
     let measured: Vec<Measurement> = rows.iter().map(|r| measure(&mut c, r)).collect();
@@ -831,7 +832,7 @@ fn main() {
              aggregate {agg_floor:.0} MB/s (backstop {env_agg_floor:.0} MB/s)"
         );
     }
-    let stream = measured.iter().find(|m| m.scheme == "stream").unwrap();
+    let stream = measured.iter().find(|m| m.scheme == STREAM.name).unwrap();
     let stream_ratio = stream.inter_over_lut();
 
     let table = render_table(&measured, &names);
@@ -858,7 +859,7 @@ fn main() {
 
     // Gate 1: on the byte scheme every code fits the first-level LUT,
     // so a slower LUT path means the fast path has regressed.
-    let byte = measured.iter().find(|m| m.scheme == "byte").unwrap();
+    let byte = measured.iter().find(|m| m.scheme == BYTE.name).unwrap();
     if byte.speedup() < 1.0 {
         eprintln!(
             "REGRESSION: LUT decode slower than reference on byte scheme ({:.2}x)",

@@ -3,10 +3,7 @@
 //! simulation. Complements the figure-reproduction binaries with a
 //! performance view of the tooling itself.
 
-use ccc_core::schemes::{
-    base::encode_base, byte::ByteScheme, full::FullScheme, stream::StreamScheme,
-    tailored::TailoredScheme, Scheme,
-};
+use ccc_core::schemes::{base::encode_base, BYTE, FULL, STREAM, TAILORED};
 use criterion::{criterion_group, criterion_main, Criterion};
 use ifetch_sim::{simulate, FetchConfig};
 use std::hint::black_box;
@@ -68,18 +65,12 @@ fn bench_schemes(c: &mut Criterion) {
     let w = tinker_workloads::by_name("go").unwrap();
     let p = w.compile().unwrap();
     let mut g = c.benchmark_group("schemes");
-    g.bench_function("byte", |b| {
-        b.iter(|| black_box(ByteScheme::default().compress(&p).unwrap()))
-    });
-    g.bench_function("stream", |b| {
-        b.iter(|| black_box(StreamScheme::named("stream").unwrap().compress(&p).unwrap()))
-    });
-    g.bench_function("full", |b| {
-        b.iter(|| black_box(FullScheme::default().compress(&p).unwrap()))
-    });
-    g.bench_function("tailored", |b| {
-        b.iter(|| black_box(TailoredScheme.compress(&p).unwrap()))
-    });
+    for entry in [BYTE, STREAM, FULL, TAILORED] {
+        let scheme = entry.build();
+        g.bench_function(entry.name, |b| {
+            b.iter(|| black_box(scheme.compress(&p).unwrap()))
+        });
+    }
     g.finish();
 }
 
@@ -105,7 +96,7 @@ fn bench_fetch_sim(c: &mut Criterion) {
     let w = tinker_workloads::by_name("compress").unwrap();
     let (p, run) = w.compile_and_run().unwrap();
     let base_img = encode_base(&p);
-    let full = FullScheme::default().compress(&p).unwrap().image;
+    let full = FULL.build().compress(&p).unwrap().image;
     let mut g = c.benchmark_group("fetch_sim");
     g.bench_function("base", |b| {
         b.iter(|| black_box(simulate(&p, &base_img, &run.trace, &FetchConfig::base()).cycles))

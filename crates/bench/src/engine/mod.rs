@@ -49,10 +49,8 @@ use crate::Prepared;
 use cache::{ArtifactCache, CacheKey, Lookup};
 use ccc_core::failpoint::{sites, Failpoints};
 use ccc_core::schemes::base::encode_base;
-use ccc_core::schemes::{
-    base::BaseScheme, byte::ByteScheme, full::FullScheme, stream::StreamScheme,
-    tailored::TailoredScheme, CompressError, Scheme,
-};
+use ccc_core::schemes::CompressError;
+pub use ccc_core::schemes::{scheme_by_name, MATRIX_SCHEMES};
 use ccc_core::{CompressionReport, EncodedProgram, RetryPolicy, CODEC_VERSION};
 use ccc_telemetry::{Clock, MonotonicClock, SharedSink, Sleeper, ThreadSleeper, TraceEvent};
 use pool::JobPanic;
@@ -70,20 +68,6 @@ use yula::{BlockTrace, Emulator, Limits, TRACE_WIRE_VERSION};
 /// wire versions do *not* capture (compiler and emulator behaviour).
 /// Bump to invalidate every artifact at once.
 pub const ENGINE_SCHEMA_VERSION: u32 = 1;
-
-/// The scheme axis of the preparation matrix, in figure order.
-pub const MATRIX_SCHEMES: [&str; 5] = ["byte", "stream", "stream_1", "full", "tailored"];
-
-/// Instantiates a scheme by its figure name (including `base`).
-pub fn scheme_by_name(name: &str) -> Option<Box<dyn Scheme>> {
-    match name {
-        "base" => Some(Box::new(BaseScheme)),
-        "byte" => Some(Box::new(ByteScheme::default())),
-        "full" => Some(Box::new(FullScheme::default())),
-        "tailored" => Some(Box::new(TailoredScheme)),
-        other => StreamScheme::named(other).map(|s| Box::new(s) as Box<dyn Scheme>),
-    }
-}
 
 /// Why one workload failed to prepare.
 #[derive(Debug)]
@@ -1512,15 +1496,6 @@ mod tests {
         let path = forest.critical_path();
         assert!(!path.is_empty());
         assert_eq!(path[0].parent, 0);
-    }
-
-    #[test]
-    fn scheme_registry_matches_matrix() {
-        for s in MATRIX_SCHEMES {
-            assert!(scheme_by_name(s).is_some(), "{s} missing");
-        }
-        assert!(scheme_by_name("base").is_some());
-        assert!(scheme_by_name("no-such-scheme").is_none());
     }
 
     #[test]

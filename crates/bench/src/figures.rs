@@ -5,12 +5,12 @@
 //! happens here, so one engine invocation feeds the entire figure suite
 //! and the golden-snapshot tests diff exact strings.
 
-use crate::engine::scheme_by_name;
+use crate::engine::MATRIX_SCHEMES;
 use crate::{cache_study, cache_study_scaled, geomean, mean, median, render_table, Prepared};
 use ccc_core::encoded::DecoderCost;
 use ccc_core::fault::{run_campaign, CampaignConfig, Tally};
 use ccc_core::schemes::stream::{StreamConfig, StreamScheme};
-use ccc_core::schemes::{pair::PairScheme, Scheme, SchemeOutput};
+use ccc_core::schemes::{pair::PairScheme, Scheme, SchemeOutput, FULL};
 use ccc_core::CompressionReport;
 use ifetch_sim::{
     simulate, simulate_with_units, EncodingClass, FetchConfig, FetchUnits, PredictorKind,
@@ -19,9 +19,6 @@ use std::collections::BTreeMap;
 use std::fmt::Write as _;
 use tinker_huffman::{entropy_bits, Dictionary};
 use yula::{Emulator, Limits, OpCategory, OpMix, TraceStats};
-
-/// The scheme columns of Figures 5, 7 and 10, in figure order.
-const FIG_SCHEMES: [&str; 5] = ["byte", "stream", "stream_1", "full", "tailored"];
 
 /// Table 1 — the cycle-count assumptions of the cache study.
 pub fn table1() -> String {
@@ -38,10 +35,10 @@ pub fn table2() -> String {
 pub fn fig05(reports: &[CompressionReport]) -> String {
     let mut out = String::new();
     let mut rows: Vec<Vec<String>> = Vec::new();
-    let mut per_scheme: Vec<Vec<f64>> = vec![Vec::new(); FIG_SCHEMES.len()];
+    let mut per_scheme: Vec<Vec<f64>> = vec![Vec::new(); MATRIX_SCHEMES.len()];
     for rep in reports {
         let mut row = vec![rep.name.clone(), format!("{}", rep.original_bytes)];
-        for (i, s) in FIG_SCHEMES.iter().enumerate() {
+        for (i, s) in MATRIX_SCHEMES.iter().enumerate() {
             let r = rep.row(s).expect("scheme present");
             per_scheme[i].push(r.code_ratio);
             row.push(format!("{:.1}%", r.code_ratio * 100.0));
@@ -66,7 +63,7 @@ pub fn fig05(reports: &[CompressionReport]) -> String {
     .unwrap();
     let headers: Vec<&str> = std::iter::once("benchmark")
         .chain(std::iter::once("orig B"))
-        .chain(FIG_SCHEMES)
+        .chain(MATRIX_SCHEMES)
         .collect();
     out.push_str(&render_table(&headers, &rows));
     writeln!(
@@ -82,11 +79,11 @@ pub fn fig05(reports: &[CompressionReport]) -> String {
 pub fn fig07(reports: &[CompressionReport], prepared: &[Prepared]) -> String {
     let mut out = String::new();
     let mut rows: Vec<Vec<String>> = Vec::new();
-    let mut per_scheme: Vec<Vec<f64>> = vec![Vec::new(); FIG_SCHEMES.len()];
+    let mut per_scheme: Vec<Vec<f64>> = vec![Vec::new(); MATRIX_SCHEMES.len()];
     let mut att_fracs: Vec<f64> = Vec::new();
     for rep in reports {
         let mut row = vec![rep.name.clone()];
-        for (i, s) in FIG_SCHEMES.iter().enumerate() {
+        for (i, s) in MATRIX_SCHEMES.iter().enumerate() {
             let r = rep.row(s).expect("scheme present");
             per_scheme[i].push(r.total_ratio);
             att_fracs.push(r.att_bytes as f64 / r.code_bytes as f64);
@@ -105,7 +102,7 @@ pub fn fig07(reports: &[CompressionReport], prepared: &[Prepared]) -> String {
         "Figure 7. ATB characteristics / total code size (code + compressed ATT, % of original).\n"
     )
     .unwrap();
-    let headers: Vec<&str> = std::iter::once("benchmark").chain(FIG_SCHEMES).collect();
+    let headers: Vec<&str> = std::iter::once("benchmark").chain(MATRIX_SCHEMES).collect();
     out.push_str(&render_table(&headers, &rows));
     writeln!(
         out,
@@ -135,10 +132,10 @@ pub fn fig07(reports: &[CompressionReport], prepared: &[Prepared]) -> String {
 pub fn fig10(reports: &[CompressionReport]) -> String {
     let mut out = String::new();
     let mut rows: Vec<Vec<String>> = Vec::new();
-    let mut per_scheme: Vec<Vec<f64>> = vec![Vec::new(); FIG_SCHEMES.len()];
+    let mut per_scheme: Vec<Vec<f64>> = vec![Vec::new(); MATRIX_SCHEMES.len()];
     for rep in reports {
         let mut row = vec![rep.name.clone()];
-        for (i, s) in FIG_SCHEMES.iter().enumerate() {
+        for (i, s) in MATRIX_SCHEMES.iter().enumerate() {
             let r = rep.row(s).expect("scheme present");
             per_scheme[i].push(r.decoder_transistors as f64);
             row.push(group_digits(r.decoder_transistors));
@@ -162,7 +159,7 @@ pub fn fig10(reports: &[CompressionReport]) -> String {
         "tailored: two-plane PLA over the dense (OPT,OPCODE) selector.\n"
     )
     .unwrap();
-    let headers: Vec<&str> = std::iter::once("benchmark").chain(FIG_SCHEMES).collect();
+    let headers: Vec<&str> = std::iter::once("benchmark").chain(MATRIX_SCHEMES).collect();
     out.push_str(&render_table(&headers, &rows));
     writeln!(
         out,
@@ -861,10 +858,7 @@ pub fn ext_entropy_limit(prepared: &[Prepared]) -> String {
     for p in prepared {
         let dict: Dictionary<u64> = p.program.op_words().into_iter().collect();
         let h = entropy_bits(dict.freqs());
-        let full = scheme_by_name("full")
-            .expect("builtin")
-            .compress(&p.program)
-            .unwrap();
+        let full = FULL.build().compress(&p.program).unwrap();
         let pair = PairScheme::default().compress(&p.program).unwrap();
         assert!(pair.verify_roundtrip(&p.program));
         let bits =

@@ -24,7 +24,7 @@ pub mod history;
 pub mod serve;
 
 use ccc_core::EncodedProgram;
-use ifetch_sim::{simulate, FetchConfig, FetchResult};
+use ifetch_sim::{simulate, EncodingClass, FetchConfig, FetchResult};
 use tepic_isa::Program;
 use tinker_workloads::Workload;
 use yula::BlockTrace;
@@ -69,14 +69,9 @@ impl Prepared {
 
     /// The matrix images in figure order, named.
     pub fn images(&self) -> impl Iterator<Item = (&'static str, &EncodedProgram)> {
-        [
-            ("byte", &self.byte_img),
-            ("stream", &self.stream_img),
-            ("stream_1", &self.stream1_img),
-            ("full", &self.compressed_img),
-            ("tailored", &self.tailored_img),
-        ]
-        .into_iter()
+        engine::MATRIX_SCHEMES
+            .into_iter()
+            .map(|s| (s, self.image(s).expect("matrix scheme")))
     }
 }
 
@@ -108,50 +103,24 @@ pub struct CacheStudy {
 /// almost no capacity pressure; use [`cache_study_scaled`] for the
 /// Figure-13 reproduction.
 pub fn cache_study(p: &Prepared) -> CacheStudy {
-    CacheStudy {
-        ideal: simulate(&p.program, &p.base_img, &p.trace, &FetchConfig::ideal()),
-        base: simulate(&p.program, &p.base_img, &p.trace, &FetchConfig::base()),
-        compressed: simulate(
-            &p.program,
-            &p.compressed_img,
-            &p.trace,
-            &FetchConfig::compressed(),
-        ),
-        tailored: simulate(
-            &p.program,
-            &p.tailored_img,
-            &p.trace,
-            &FetchConfig::tailored(),
-        ),
-    }
+    study(p, FetchConfig::for_class)
 }
 
 /// Runs the four fetch configurations with caches scaled to the
 /// workload's code size, preserving the paper's code:cache pressure
 /// (see [`FetchConfig::scaled`] and DESIGN.md section 4).
 pub fn cache_study_scaled(p: &Prepared) -> CacheStudy {
-    use ifetch_sim::EncodingClass as E;
     let code = p.base_img.total_bytes();
+    study(p, |class| FetchConfig::scaled(class, code))
+}
+
+fn study(p: &Prepared, config: impl Fn(EncodingClass) -> FetchConfig) -> CacheStudy {
+    let run = |img, class| simulate(&p.program, img, &p.trace, &config(class));
     CacheStudy {
-        ideal: simulate(&p.program, &p.base_img, &p.trace, &FetchConfig::ideal()),
-        base: simulate(
-            &p.program,
-            &p.base_img,
-            &p.trace,
-            &FetchConfig::scaled(E::Base, code),
-        ),
-        compressed: simulate(
-            &p.program,
-            &p.compressed_img,
-            &p.trace,
-            &FetchConfig::scaled(E::Compressed, code),
-        ),
-        tailored: simulate(
-            &p.program,
-            &p.tailored_img,
-            &p.trace,
-            &FetchConfig::scaled(E::Tailored, code),
-        ),
+        ideal: run(&p.base_img, EncodingClass::Ideal),
+        base: run(&p.base_img, EncodingClass::Base),
+        compressed: run(&p.compressed_img, EncodingClass::Compressed),
+        tailored: run(&p.tailored_img, EncodingClass::Tailored),
     }
 }
 

@@ -75,8 +75,8 @@ mod tests {
         let w = tinker_workloads::by_name("li").expect("li exists");
         let program = lego::compile(w.source(), &lego::Options::default()).expect("compiles");
         let build = || -> Result<Arc<dyn BlockCodec>, ()> {
-            let out = crate::engine::scheme_by_name("full")
-                .expect("full exists")
+            let out = ccc_core::schemes::FULL
+                .build()
                 .compress(&program)
                 .expect("compresses");
             Ok(Arc::from(out.codec))

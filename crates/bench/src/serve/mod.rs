@@ -29,7 +29,7 @@ use std::sync::{Arc, Condvar, Mutex};
 use std::thread::{self, JoinHandle};
 use std::time::{Duration, Instant};
 
-use ccc_core::schemes::BlockCodec;
+use ccc_core::schemes::{lookup, BlockCodec, EncodingClass, SchemeEntry};
 use ccc_core::{crc32, encoded_to_bytes, Failpoints};
 use ccc_telemetry::{json, MetricsRegistry};
 use ifetch_sim::{
@@ -37,7 +37,7 @@ use ifetch_sim::{
 };
 use tepic_isa::wire::Fnv128;
 
-use crate::engine::{pool, scheme_by_name, Engine};
+use crate::engine::{pool, Engine};
 use codecs::CodecCache;
 use proto::{read_frame, write_frame, ErrKind, FrameError, JobOp, JobRequest, Request, WireError};
 
@@ -411,11 +411,8 @@ const LATENCY_BOUNDS: [u64; 12] = [
 /// and enqueue — unless the queue is full (`busy`) or the daemon is
 /// draining (`draining`). Blocks until the flight's result is filled.
 fn admit_job(shared: &Arc<Shared>, req: JobRequest) -> Result<String, WireError> {
-    if req.op != JobOp::Compile && scheme_by_name(&req.scheme).is_none() {
-        return Err(WireError::new(
-            ErrKind::UnknownScheme,
-            format!("unknown scheme {:?}", req.scheme),
-        ));
+    if req.op != JobOp::Compile {
+        scheme_entry(&req.scheme)?;
     }
     let key = req.flight_key();
     let slot = {
@@ -533,38 +530,24 @@ fn execute_job(shared: &Arc<Shared>, req: &JobRequest) -> Result<String, WireErr
             let image = engine
                 .image(&req.name, &req.source, &opts, &req.scheme, &program)
                 .map_err(|e| WireError::new(ErrKind::CompressError, e.to_string()))?;
-            // Base and Tailored fetch re-laid-out words directly — no
-            // decoder on the hit path (mirrors the CLI's trace cmd).
-            let (result, dstats) = match req.scheme.as_str() {
-                "base" | "tailored" => {
-                    let cfg = if req.scheme == "base" {
-                        FetchConfig::base()
-                    } else {
-                        FetchConfig::tailored()
-                    };
-                    (
-                        simulate(&program, &image, &trace, &cfg),
-                        DecodeStats::default(),
-                    )
+            // Only Compressed images carry a decoder on the hit path;
+            // Base and Tailored fetch their words directly.
+            let entry = scheme_entry(&req.scheme)?;
+            let cfg = FetchConfig::for_class(entry.class);
+            let (result, dstats) = if entry.class == EncodingClass::Compressed {
+                let codec = memo_codec(shared, req, entry, &program)?;
+                if req.op == JobOp::Faultsim {
+                    let fp = Failpoints::from_spec(FAULTSIM_SPEC, req.seed)
+                        .map_err(|e| WireError::new(ErrKind::Internal, e.to_string()))?;
+                    simulate_decoded_injected(&program, &image, &trace, &cfg, codec.as_ref(), &fp)
+                } else {
+                    simulate_decoded(&program, &image, &trace, &cfg, codec.as_ref())
                 }
-                scheme => {
-                    let codec = memo_codec(shared, req, scheme, &program)?;
-                    let cfg = FetchConfig::compressed();
-                    if req.op == JobOp::Faultsim {
-                        let fp = Failpoints::from_spec(FAULTSIM_SPEC, req.seed)
-                            .map_err(|e| WireError::new(ErrKind::Internal, e.to_string()))?;
-                        simulate_decoded_injected(
-                            &program,
-                            &image,
-                            &trace,
-                            &cfg,
-                            codec.as_ref(),
-                            &fp,
-                        )
-                    } else {
-                        simulate_decoded(&program, &image, &trace, &cfg, codec.as_ref())
-                    }
-                }
+            } else {
+                (
+                    simulate(&program, &image, &trace, &cfg),
+                    DecodeStats::default(),
+                )
             };
             dstats.record_metrics(&shared.registry);
             Ok(render_sim(req, &result, &dstats))
@@ -572,25 +555,30 @@ fn execute_job(shared: &Arc<Shared>, req: &JobRequest) -> Result<String, WireErr
     }
 }
 
+/// The registry entry for a requested scheme, or a typed
+/// `unknown_scheme` error.
+fn scheme_entry(name: &str) -> Result<SchemeEntry, WireError> {
+    lookup(name)
+        .ok_or_else(|| WireError::new(ErrKind::UnknownScheme, format!("unknown scheme {name:?}")))
+}
+
 /// Looks up (or builds and memoizes) the decode codec for a
-/// (scheme, program) pair — the satellite-3 warm path.
+/// (scheme, program) pair — the warm simulate path.
 fn memo_codec(
     shared: &Arc<Shared>,
     req: &JobRequest,
-    scheme: &str,
+    entry: SchemeEntry,
     program: &tepic_isa::Program,
 ) -> Result<Arc<dyn BlockCodec>, WireError> {
     let mut h = Fnv128::new();
-    h.update_str(scheme);
+    h.update_str(entry.name);
     h.update_str(&req.name);
     h.update_str(&req.source);
     shared
         .codecs
         .get_or_build(&shared.registry, h.finish(), || {
-            let out = scheme_by_name(scheme)
-                .ok_or_else(|| {
-                    WireError::new(ErrKind::UnknownScheme, format!("unknown scheme {scheme:?}"))
-                })?
+            let out = entry
+                .build()
                 .compress(program)
                 .map_err(|e| WireError::new(ErrKind::CompressError, e.to_string()))?;
             Ok(Arc::from(out.codec))

@@ -255,18 +255,12 @@ impl Request {
                 };
                 let seed = match v.get("seed") {
                     None => 0,
-                    Some(s) => {
-                        let n = s.as_f64().ok_or_else(|| {
-                            WireError::new(ErrKind::BadRequest, "field \"seed\" must be a number")
-                        })?;
-                        if n < 0.0 || n.fract() != 0.0 || n > u64::MAX as f64 {
-                            return Err(WireError::new(
-                                ErrKind::BadRequest,
-                                "field \"seed\" must be a non-negative integer",
-                            ));
-                        }
-                        n as u64
-                    }
+                    Some(s) => s.as_u64().ok_or_else(|| {
+                        WireError::new(
+                            ErrKind::BadRequest,
+                            "field \"seed\" must be a non-negative integer",
+                        )
+                    })?,
                 };
                 Ok(Request::Job(JobRequest {
                     op,

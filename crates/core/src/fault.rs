@@ -24,10 +24,7 @@
 
 use crate::att::AddressTranslationTable;
 use crate::integrity::crc32;
-use crate::schemes::{
-    base::BaseScheme, byte::ByteScheme, full::FullScheme, stream::StreamScheme,
-    tailored::TailoredScheme, Scheme, SchemeOutput,
-};
+use crate::schemes::{Scheme, SchemeEntry, SchemeOutput, BASE, BYTE, FULL, STREAM, TAILORED};
 use std::fmt;
 use tepic_isa::Program;
 
@@ -290,13 +287,10 @@ impl Default for CampaignConfig {
 /// The five-scheme line-up the campaign runs (base/byte/stream/full/
 /// tailored).
 pub fn campaign_schemes() -> Vec<Box<dyn Scheme>> {
-    vec![
-        Box::new(BaseScheme),
-        Box::new(ByteScheme::default()),
-        Box::new(StreamScheme::named("stream").expect("builtin config")),
-        Box::new(FullScheme::default()),
-        Box::new(TailoredScheme),
-    ]
+    [BASE, BYTE, STREAM, FULL, TAILORED]
+        .iter()
+        .map(SchemeEntry::build)
+        .collect()
 }
 
 /// Runs a deterministic fault campaign over every scheme.

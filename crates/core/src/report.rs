@@ -2,7 +2,7 @@
 
 use crate::att::AddressTranslationTable;
 use crate::encoded::DecoderCost;
-use crate::schemes::{base::BaseScheme, standard_schemes, Scheme};
+use crate::schemes::{BASE, MATRIX};
 use std::fmt;
 use tepic_isa::Program;
 
@@ -38,7 +38,7 @@ pub struct CompressionReport {
 }
 
 impl CompressionReport {
-    /// Runs every standard scheme (plus base) over `program`.
+    /// Runs base and every [`MATRIX`] scheme over `program`.
     ///
     /// # Panics
     ///
@@ -48,9 +48,8 @@ impl CompressionReport {
     pub fn build(name: &str, program: &Program) -> CompressionReport {
         let original = program.code_size();
         let mut rows = Vec::new();
-        let mut all: Vec<Box<dyn Scheme>> = vec![Box::new(BaseScheme)];
-        all.extend(standard_schemes());
-        for scheme in all {
+        for entry in std::iter::once(BASE).chain(MATRIX) {
+            let scheme = entry.build();
             let out = scheme
                 .compress(program)
                 .unwrap_or_else(|e| panic!("{} failed on {name}: {e}", scheme.name()));

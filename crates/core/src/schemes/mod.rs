@@ -2,8 +2,10 @@
 //!
 //! Each scheme implements [`Scheme`], producing a [`SchemeOutput`] whose
 //! [`SchemeOutput::verify_roundtrip`] proves losslessness against the
-//! original program. The module-level table of all standard schemes
-//! ([`standard_schemes`]) drives the Figure-5/7/10 experiments.
+//! original program. The scheme registry ([`registry`], [`lookup`]) is
+//! the one place that names every scheme, builds it, and pairs it with
+//! the fetch organization that executes its images; the Figure-5 matrix
+//! ([`MATRIX`]) drives the Figure-5/7/10 experiments.
 
 pub mod base;
 pub mod byte;
@@ -454,17 +456,115 @@ pub trait Scheme {
     fn compress(&self, program: &Program) -> Result<SchemeOutput, CompressError>;
 }
 
-/// The scheme line-up of the paper's Figure 5: byte-wise, the two best
-/// stream configurations (`stream` = smallest decoder, `stream_1` =
-/// smallest code), Full, and Tailored.
+/// Which fetch organization executes an image — the columns of the
+/// paper's Table 1, plus the Ideal bound.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum EncodingClass {
+    /// Uncompressed baseline (banked cache, predictor, no translation).
+    Base,
+    /// Tailored ISA (extra miss-path stage, translation via ATB).
+    Tailored,
+    /// Huffman-compressed code cached compressed (decompressor on the
+    /// hit path behind the L0 buffer, translation via ATB).
+    Compressed,
+    /// Perfect cache and predictor: one MultiOp per cycle.
+    Ideal,
+}
+
+/// One registered scheme: its figure name, its constructor, and the
+/// fetch organization its images run on.
+#[derive(Debug, Clone, Copy)]
+pub struct SchemeEntry {
+    /// Figure name; equals the built scheme's [`Scheme::name`].
+    pub name: &'static str,
+    /// Fetch organization; only [`EncodingClass::Compressed`] images
+    /// are decoded on the hit path.
+    pub class: EncodingClass,
+    build: fn(&'static str) -> Box<dyn Scheme>,
+}
+
+impl SchemeEntry {
+    /// Instantiates the scheme.
+    pub fn build(&self) -> Box<dyn Scheme> {
+        (self.build)(self.name)
+    }
+}
+
+const fn stream_entry(name: &'static str) -> SchemeEntry {
+    SchemeEntry {
+        name,
+        class: EncodingClass::Compressed,
+        build: |name| Box::new(stream::StreamScheme::named(name).expect("builtin config")),
+    }
+}
+
+/// The uncompressed baseline.
+pub const BASE: SchemeEntry = SchemeEntry {
+    name: "base",
+    class: EncodingClass::Base,
+    build: |_| Box::new(base::BaseScheme),
+};
+/// Byte-wise Huffman.
+pub const BYTE: SchemeEntry = SchemeEntry {
+    name: "byte",
+    class: EncodingClass::Compressed,
+    build: |_| Box::new(byte::ByteScheme::default()),
+};
+/// Stream Huffman, finest split (smallest decoder).
+pub const STREAM: SchemeEntry = stream_entry("stream");
+/// Stream Huffman, two 20-bit halves (smallest stream code).
+pub const STREAM_1: SchemeEntry = stream_entry("stream_1");
+/// Whole-op Huffman.
+pub const FULL: SchemeEntry = SchemeEntry {
+    name: "full",
+    class: EncodingClass::Compressed,
+    build: |_| Box::new(full::FullScheme::default()),
+};
+/// Tailored encoding.
+pub const TAILORED: SchemeEntry = SchemeEntry {
+    name: "tailored",
+    class: EncodingClass::Tailored,
+    build: |_| Box::new(tailored::TailoredScheme),
+};
+
+/// The scheme axis of the paper's Figure 5, in figure order: byte-wise,
+/// the two best stream configurations, Full, and Tailored.
+pub const MATRIX: [SchemeEntry; 5] = [BYTE, STREAM, STREAM_1, FULL, TAILORED];
+
+/// The names of [`MATRIX`], in figure order.
+pub const MATRIX_SCHEMES: [&str; MATRIX.len()] = {
+    let mut names = [""; MATRIX.len()];
+    let mut i = 0;
+    while i < MATRIX.len() {
+        names[i] = MATRIX[i].name;
+        i += 1;
+    }
+    names
+};
+
+/// Every registered scheme: [`BASE`], the [`MATRIX`], then the
+/// remaining [`stream::StreamConfig::ALL`] configurations.
+pub fn registry() -> impl Iterator<Item = SchemeEntry> {
+    let extra_streams = stream::StreamConfig::ALL
+        .iter()
+        .filter(|c| !MATRIX_SCHEMES.contains(&c.name))
+        .map(|c| stream_entry(c.name));
+    std::iter::once(BASE).chain(MATRIX).chain(extra_streams)
+}
+
+/// The registry entry for a figure name.
+pub fn lookup(name: &str) -> Option<SchemeEntry> {
+    registry().find(|e| e.name == name)
+}
+
+/// Instantiates a scheme by its figure name (including `base`).
+pub fn scheme_by_name(name: &str) -> Option<Box<dyn Scheme>> {
+    lookup(name).map(|e| e.build())
+}
+
+/// The [`MATRIX`] schemes, built.
 pub fn standard_schemes() -> Vec<Box<dyn Scheme>> {
-    vec![
-        Box::new(byte::ByteScheme::default()),
-        Box::new(stream::StreamScheme::named("stream").expect("builtin config")),
-        Box::new(stream::StreamScheme::named("stream_1").expect("builtin config")),
-        Box::new(full::FullScheme::default()),
-        Box::new(tailored::TailoredScheme),
-    ]
+    MATRIX.iter().map(SchemeEntry::build).collect()
 }
 
 #[cfg(test)]
@@ -558,69 +658,42 @@ mod tests {
 
     #[test]
     fn standard_lineup_matches_figure5() {
-        let names: Vec<String> = standard_schemes().iter().map(|s| s.name()).collect();
         assert_eq!(
-            names,
-            vec!["byte", "stream", "stream_1", "full", "tailored"]
+            MATRIX_SCHEMES,
+            ["byte", "stream", "stream_1", "full", "tailored"]
         );
-    }
+        let names: Vec<String> = standard_schemes().iter().map(|s| s.name()).collect();
+        assert_eq!(names, MATRIX_SCHEMES);
 
-    #[test]
-    fn every_standard_scheme_round_trips_the_sample() {
-        let p = testutil::sample_program();
-        for scheme in standard_schemes() {
-            let out = scheme
-                .compress(&p)
-                .unwrap_or_else(|e| panic!("{}: {e}", scheme.name()));
-            assert!(out.image.check_layout(), "{} layout broken", scheme.name());
-            assert!(
-                out.verify_roundtrip(&p),
-                "{} round trip failed",
-                scheme.name()
-            );
+        // Every entry builds the scheme it names, which round-trips the
+        // sample and tiny programs into images tagged with that name,
+        // and sits in its Table-1 column.
+        let programs = [testutil::sample_program(), testutil::tiny_program()];
+        for entry in registry() {
+            let scheme = entry.build();
+            assert_eq!(scheme.name(), entry.name);
+            for p in &programs {
+                let out = scheme
+                    .compress(p)
+                    .unwrap_or_else(|e| panic!("{}: {e}", entry.name));
+                assert_eq!(out.image.kind.to_string(), entry.name);
+                assert!(out.image.check_layout(), "{} layout broken", entry.name);
+                assert!(out.verify_roundtrip(p), "{} round trip failed", entry.name);
+            }
+            let class = match entry.name {
+                "base" => EncodingClass::Base,
+                "tailored" => EncodingClass::Tailored,
+                _ => EncodingClass::Compressed,
+            };
+            assert_eq!(entry.class, class, "{}", entry.name);
         }
-    }
-
-    #[test]
-    fn every_standard_scheme_handles_tiny_programs() {
-        let p = testutil::tiny_program();
-        for scheme in standard_schemes() {
-            let out = scheme
-                .compress(&p)
-                .unwrap_or_else(|e| panic!("{}: {e}", scheme.name()));
-            assert!(
-                out.verify_roundtrip(&p),
-                "{} tiny round trip failed",
-                scheme.name()
-            );
+        for config in &stream::StreamConfig::ALL {
+            let entry = lookup(config.name).expect("every stream config resolves");
+            assert_eq!(entry.class, EncodingClass::Compressed);
         }
-    }
-
-    #[test]
-    fn compression_ordering_matches_paper_shape() {
-        // Figure 5: full < tailored < byte ≲ stream (as fractions of the
-        // original size). Exact numbers depend on the workload; the
-        // ordering full < tailored and full < byte must hold.
-        let p = testutil::sample_program();
-        let orig = p.code_size();
-        let get = |name: &str| -> f64 {
-            standard_schemes()
-                .into_iter()
-                .find(|s| s.name() == name)
-                .unwrap()
-                .compress(&p)
-                .unwrap()
-                .image
-                .ratio(orig)
-        };
-        let full = get("full");
-        let tailored = get("tailored");
-        let byte = get("byte");
-        assert!(
-            full < tailored,
-            "full {full} should beat tailored {tailored}"
-        );
-        assert!(full < byte, "full {full} should beat byte {byte}");
-        assert!(tailored < 1.0 && byte < 1.0);
+        let names: std::collections::HashSet<&str> = registry().map(|e| e.name).collect();
+        assert_eq!(names.len(), registry().count(), "names are unique");
+        assert!(lookup("pair").is_none(), "pair is unregistered");
+        assert!(lookup("no-such-scheme").is_none());
     }
 }

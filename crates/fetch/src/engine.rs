@@ -17,19 +17,7 @@ use tepic_isa::Program;
 use tinker_huffman::DecodeCounters;
 use yula::BlockTrace;
 
-/// Which fetch organization to simulate.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum EncodingClass {
-    /// Uncompressed baseline (banked cache, predictor, no translation).
-    Base,
-    /// Tailored ISA (extra miss-path stage, translation via ATB).
-    Tailored,
-    /// Huffman-compressed code cached compressed (decompressor on the
-    /// hit path behind the L0 buffer, translation via ATB).
-    Compressed,
-    /// Perfect cache and predictor: one MultiOp per cycle.
-    Ideal,
-}
+pub use ccc_core::schemes::EncodingClass;
 
 /// Which next-block predictor the ATB couples to.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -112,6 +100,16 @@ impl FetchConfig {
         }
     }
 
+    /// The paper's configuration for a fetch organization.
+    pub fn for_class(class: EncodingClass) -> FetchConfig {
+        match class {
+            EncodingClass::Base => FetchConfig::base(),
+            EncodingClass::Tailored => FetchConfig::tailored(),
+            EncodingClass::Compressed => FetchConfig::compressed(),
+            EncodingClass::Ideal => FetchConfig::ideal(),
+        }
+    }
+
     /// Scaled variant preserving the paper's pressure ratios.
     ///
     /// The paper runs SPEC-class binaries (hundreds of KB) against 16KB
@@ -124,12 +122,10 @@ impl FetchConfig {
     /// of our workloads, as the paper's covers SPEC's hot blocks). Line sizes, the L0 buffer and every Table-1 penalty are
     /// unchanged. See DESIGN.md §4 (substitutions).
     pub fn scaled(class: EncodingClass, base_code_bytes: usize) -> FetchConfig {
-        let mut cfg = match class {
-            EncodingClass::Base => FetchConfig::base(),
-            EncodingClass::Tailored => FetchConfig::tailored(),
-            EncodingClass::Compressed => FetchConfig::compressed(),
-            EncodingClass::Ideal => return FetchConfig::ideal(),
-        };
+        let mut cfg = FetchConfig::for_class(class);
+        if class == EncodingClass::Ideal {
+            return cfg;
+        }
         let base_capacity =
             ((base_code_bytes as f64 * Self::SCALED_RATIO) as usize).max(8 * cfg.cache.line_bytes);
         cfg.cache.capacity = match class {
@@ -1114,16 +1110,10 @@ mod tests {
 
     #[test]
     fn batch_decode_matches_per_block_decode_for_every_scheme() {
-        use ccc_core::schemes::{byte::ByteScheme, pair::PairScheme, stream::StreamScheme};
+        use ccc_core::schemes::{pair::PairScheme, registry};
         let s = loopy();
-        let schemes: Vec<Box<dyn Scheme>> = vec![
-            Box::new(FullScheme::default()),
-            Box::new(ByteScheme::default()),
-            Box::new(StreamScheme::named("stream").unwrap()),
-            Box::new(StreamScheme::named("stream_1").unwrap()),
-            Box::new(PairScheme::default()),
-        ];
-        for scheme in schemes {
+        let pair: Box<dyn Scheme> = Box::new(PairScheme::default());
+        for scheme in registry().map(|e| e.build()).chain([pair]) {
             let out = scheme.compress(&s.program).unwrap();
             let (results, stats) =
                 batch_decode_image(&s.program, &out.image, out.codec.as_ref(), None);

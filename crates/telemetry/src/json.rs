@@ -4,8 +4,8 @@
 //! the exporters emit JSON by hand (stable field order, no dependency),
 //! and this parser proves the emitted text is well-formed and
 //! structurally complete — the round-trip the trace smoke gate and the
-//! proptests run. Numbers parse as `f64`, which is exact for every
-//! count the exporters emit below 2^53.
+//! proptests run. Unsigned integer lexemes that fit a `u64` parse
+//! exactly ([`JsonValue::as_u64`]); every other number parses as `f64`.
 
 use std::collections::BTreeMap;
 use std::fmt;
@@ -17,7 +17,10 @@ pub enum JsonValue {
     Null,
     /// `true` / `false`
     Bool(bool),
-    /// Any number (integers are exact below 2^53).
+    /// An unsigned integer lexeme (no sign, fraction or exponent) that
+    /// fits a `u64`, kept exact.
+    UInt(u64),
+    /// Any other number.
     Num(f64),
     /// A string.
     Str(String),
@@ -44,10 +47,26 @@ impl JsonValue {
         }
     }
 
-    /// The numeric value; `None` elsewhere.
+    /// The numeric value (rounded to `f64`); `None` elsewhere.
     pub fn as_f64(&self) -> Option<f64> {
         match self {
+            JsonValue::UInt(n) => Some(*n as f64),
             JsonValue::Num(n) => Some(*n),
+            _ => None,
+        }
+    }
+
+    /// The value as an exact `u64`: any unsigned integer lexeme, or a
+    /// non-negative integral number no larger than 2^53 (where `f64` is
+    /// still exact, so `7.0` reads as 7). `None` for everything else,
+    /// so no value is ever silently rounded.
+    pub fn as_u64(&self) -> Option<u64> {
+        const EXACT_F64: f64 = (1u64 << 53) as f64;
+        match self {
+            JsonValue::UInt(n) => Some(*n),
+            JsonValue::Num(n) if *n >= 0.0 && n.fract() == 0.0 && *n <= EXACT_F64 => {
+                Some(*n as u64)
+            }
             _ => None,
         }
     }
@@ -293,6 +312,9 @@ impl<'a> Parser<'a> {
         }
         let text = std::str::from_utf8(&self.bytes[start..self.pos])
             .map_err(|_| self.err("bad number"))?;
+        if let Ok(n) = text.parse::<u64>() {
+            return Ok(JsonValue::UInt(n));
+        }
         text.parse::<f64>()
             .map(JsonValue::Num)
             .map_err(|_| JsonError {
@@ -317,6 +339,20 @@ mod tests {
         assert_eq!(v.get("b").unwrap().get("c").unwrap().as_str(), Some("x\ny"));
         assert_eq!(v.get("d"), Some(&JsonValue::Null));
         assert_eq!(v.get("e"), Some(&JsonValue::Bool(true)));
+    }
+
+    #[test]
+    fn integers_parse_exactly() {
+        let big = u64::MAX - 1;
+        // The last element is 2^64, one past u64::MAX: an inexact f64.
+        let v = parse_json(&format!("[{big},7,7.0,1.5,-1,1e3,18446744073709551616]")).unwrap();
+        let items = v.as_arr().unwrap();
+        let got: Vec<Option<u64>> = items.iter().map(JsonValue::as_u64).collect();
+        assert_eq!(
+            got,
+            [Some(big), Some(7), Some(7), None, None, Some(1000), None]
+        );
+        assert_eq!(items[6].as_f64(), Some(2f64.powi(64)));
     }
 
     #[test]

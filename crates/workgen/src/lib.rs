@@ -60,7 +60,7 @@ pub use calibrate::{
     CalibrationReport, CampaignRow, CampaignSummary, MixProfile, SchemeSites, FOREIGN_TARGET,
 };
 pub use gen::generate_program;
-pub use servemix::{request_mix, MixParams, ServeRequest, MIX_SCHEMES};
+pub use servemix::{request_mix, MixParams, ServeRequest};
 
 use std::fmt;
 use tinker_workloads::Workload;

@@ -8,15 +8,13 @@
 //! discipline as corpus generation, so a mix is exactly reproducible
 //! from `(seed, count, params)`.
 //!
-//! Scheme and op weights are fixed here rather than taken from the
-//! serving layer (`ccc-workgen` sits below `ccc-bench` in the crate
-//! DAG and cannot name its types).
+//! Schemes are drawn from the Figure-5 matrix
+//! ([`ccc_core::schemes::MATRIX_SCHEMES`]). Op weights are fixed here
+//! rather than taken from the serving layer (`ccc-workgen` sits below
+//! `ccc-bench` in the crate DAG and cannot name its types).
 
 use crate::{generate_program, splitmix64, Flavor, GenParams};
-
-/// Scheme names a generated request may carry, mirroring the bench
-/// matrix (`ccc_bench::engine::MATRIX_SCHEMES`).
-pub const MIX_SCHEMES: [&str; 5] = ["byte", "stream", "stream_1", "full", "tailored"];
+use ccc_core::schemes::MATRIX_SCHEMES;
 
 /// Request operations, with their draw weights (encode-heavy, the
 /// daemon's cheapest cacheable op, plus a real simulate share).
@@ -36,7 +34,7 @@ pub struct ServeRequest {
     pub source: String,
     /// Operation name (`compile`/`encode`/`simulate`/`faultsim`).
     pub op: &'static str,
-    /// Scheme name from [`MIX_SCHEMES`].
+    /// Scheme name from [`MATRIX_SCHEMES`].
     pub scheme: &'static str,
     /// Fault seed (only `faultsim` consumes it).
     pub seed: u64,
@@ -84,7 +82,7 @@ pub fn request_mix(seed: u64, count: usize, params: &MixParams) -> Vec<ServeRequ
             let name = format!("srv-hot-{}-{seed}-{i:04}", params.flavor.name());
             let p = generate_program(pseed, &gen_params, &name);
             let op = weighted_op(splitmix64(&mut state));
-            let scheme = MIX_SCHEMES[(splitmix64(&mut state) % MIX_SCHEMES.len() as u64) as usize];
+            let scheme = pick_scheme(splitmix64(&mut state));
             ServeRequest {
                 name: p.name,
                 source: p.source,
@@ -109,8 +107,7 @@ pub fn request_mix(seed: u64, count: usize, params: &MixParams) -> Vec<ServeRequ
                 cold_index += 1;
                 let p = generate_program(pseed, &gen_params, &name);
                 let op = weighted_op(splitmix64(&mut state));
-                let scheme =
-                    MIX_SCHEMES[(splitmix64(&mut state) % MIX_SCHEMES.len() as u64) as usize];
+                let scheme = pick_scheme(splitmix64(&mut state));
                 ServeRequest {
                     name: p.name,
                     source: p.source,
@@ -122,6 +119,10 @@ pub fn request_mix(seed: u64, count: usize, params: &MixParams) -> Vec<ServeRequ
             }
         })
         .collect()
+}
+
+fn pick_scheme(draw: u64) -> &'static str {
+    MATRIX_SCHEMES[(draw % MATRIX_SCHEMES.len() as u64) as usize]
 }
 
 fn weighted_op(draw: u64) -> &'static str {
@@ -177,7 +178,7 @@ mod tests {
         // Every op and scheme comes from the declared sets.
         for r in &a {
             assert!(["compile", "encode", "simulate", "faultsim"].contains(&r.op));
-            assert!(MIX_SCHEMES.contains(&r.scheme));
+            assert!(MATRIX_SCHEMES.contains(&r.scheme));
         }
         // A 400-request draw exercises more than one op and scheme.
         assert!(a.iter().map(|r| r.op).collect::<HashSet<_>>().len() > 1);

@@ -54,12 +54,7 @@ fn main() {
     for shift in 0..8 {
         let cap = 256usize << shift;
         let mk = |class: EncodingClass| -> FetchConfig {
-            let mut cfg = match class {
-                EncodingClass::Base => FetchConfig::base(),
-                EncodingClass::Tailored => FetchConfig::tailored(),
-                EncodingClass::Compressed => FetchConfig::compressed(),
-                EncodingClass::Ideal => FetchConfig::ideal(),
-            };
+            let mut cfg = FetchConfig::for_class(class);
             cfg.cache.capacity = cap;
             cfg
         };

@@ -42,7 +42,7 @@
 //!
 //! ```text
 //! --workload <w>    a built-in workload name (required)
-//! --scheme <s>      base|tailored|byte|stream|stream_1|full (default full)
+//! --scheme <s>      a name from ccc_core::schemes::registry (default full)
 //! --out <file>      Chrome trace-event JSON destination (default trace.json)
 //! --check           validate the emitted trace against the metrics snapshot
 //! ```
@@ -312,9 +312,9 @@ fn main() -> ExitCode {
                 }
             };
             let base = schemes::base::encode_base(&program);
-            let images: Vec<EncodedProgram> = match ["tailored", "full"]
+            let images: Vec<EncodedProgram> = match [schemes::TAILORED, schemes::FULL]
                 .iter()
-                .map(|s| engine.image(file, &source, &opts, s, &program))
+                .map(|s| engine.image(file, &source, &opts, s.name, &program))
                 .collect()
             {
                 Ok(v) => v,
@@ -787,10 +787,16 @@ fn trace_cmd(args: &[String]) -> ExitCode {
             return ExitCode::from(2);
         }
     };
-    if tepic_ccc::bench::engine::scheme_by_name(&scheme).is_none() {
-        eprintln!("tepic-cc trace: unknown scheme {scheme}");
+    let Some(entry) = schemes::lookup(&scheme) else {
+        eprintln!(
+            "tepic-cc trace: unknown scheme {scheme}; known: {}",
+            schemes::registry()
+                .map(|e| e.name)
+                .collect::<Vec<_>>()
+                .join(", ")
+        );
         return ExitCode::from(2);
-    }
+    };
 
     // Always a cold engine: the compile/emulate/encode spans only exist
     // when the stages actually run, and a warm cache would skip them.
@@ -820,34 +826,30 @@ fn trace_cmd(args: &[String]) -> ExitCode {
         }
     };
 
-    // Base and Tailored fetch uncompressed/re-laid-out code — no serial
-    // decoder on their hit path; everything else decompresses for real.
+    // Only Compressed images have a serial decoder on the hit path;
+    // Base and Tailored fetch their words directly.
     let clock = MonotonicClock::new();
-    let (cfg, codec) = match scheme.as_str() {
-        "base" => (FetchConfig::base(), None),
-        "tailored" => (FetchConfig::tailored(), None),
-        _ => {
-            let codec_start = clock.now_ns();
-            let out = match tepic_ccc::bench::engine::scheme_by_name(&scheme)
-                .expect("validated above")
-                .compress(&program)
-            {
-                Ok(o) => o,
-                Err(e) => {
-                    eprintln!("tepic-cc trace: {scheme}: {e}");
-                    return ExitCode::FAILURE;
-                }
-            };
-            sink.record(TraceEvent::Span {
-                name: "codec",
-                detail: format!("{}/{scheme}", w.name),
-                id: engine.next_span_id(),
-                parent: 0,
-                start_ns: codec_start,
-                dur_ns: clock.now_ns().saturating_sub(codec_start),
-            });
-            (FetchConfig::compressed(), Some(out.codec))
-        }
+    let cfg = FetchConfig::for_class(entry.class);
+    let codec = if entry.class == EncodingClass::Compressed {
+        let codec_start = clock.now_ns();
+        let out = match entry.build().compress(&program) {
+            Ok(o) => o,
+            Err(e) => {
+                eprintln!("tepic-cc trace: {scheme}: {e}");
+                return ExitCode::FAILURE;
+            }
+        };
+        sink.record(TraceEvent::Span {
+            name: "codec",
+            detail: format!("{}/{scheme}", w.name),
+            id: engine.next_span_id(),
+            parent: 0,
+            start_ns: codec_start,
+            dur_ns: clock.now_ns().saturating_sub(codec_start),
+        });
+        Some(out.codec)
+    } else {
+        None
     };
 
     let mut fetch_sink = sink.clone();
@@ -921,7 +923,7 @@ fn trace_cmd(args: &[String]) -> ExitCode {
         dstats.long_fallbacks
     );
     if check {
-        match validate_trace(&trace_json, &metrics_json, &scheme) {
+        match validate_trace(&trace_json, &metrics_json, entry) {
             Ok(()) => println!("check: trace/metrics reconciliation and span coverage held"),
             Err(e) => {
                 eprintln!("tepic-cc trace: check failed: {e}");
@@ -1376,7 +1378,11 @@ fn chaos_cmd(args: &[String]) -> ExitCode {
 /// dropped, and the per-kind event totals agree with the `fetch.*`
 /// counters — the CLI-level version of the engine's internal
 /// reconciliation.
-fn validate_trace(trace_json: &str, metrics_json: &str, scheme: &str) -> Result<(), String> {
+fn validate_trace(
+    trace_json: &str,
+    metrics_json: &str,
+    scheme: schemes::SchemeEntry,
+) -> Result<(), String> {
     use tepic_ccc::telemetry::{parse_json, JsonValue};
     let t = parse_json(trace_json).map_err(|e| format!("trace JSON: {e}"))?;
     let m = parse_json(metrics_json).map_err(|e| format!("metrics JSON: {e}"))?;
@@ -1385,11 +1391,11 @@ fn validate_trace(trace_json: &str, metrics_json: &str, scheme: &str) -> Result<
         .and_then(JsonValue::as_arr)
         .ok_or("traceEvents missing")?;
     // Per-scheme span coverage: every scheme runs the engine stages and
-    // the fetch simulation; the compressed schemes must additionally
-    // show the codec-construction span (base and tailored fetch without
-    // a serial decoder, so demanding it there would always fail).
+    // the fetch simulation; Compressed schemes must additionally show
+    // the codec-construction span (the others fetch without a serial
+    // decoder, so demanding it there would always fail).
     let mut required = vec!["compile", "emulate", "encode", "simulate"];
-    if !matches!(scheme, "base" | "tailored") {
+    if scheme.class == EncodingClass::Compressed {
         required.push("codec");
     }
     for stage in required {
@@ -1401,7 +1407,7 @@ fn validate_trace(trace_json: &str, metrics_json: &str, scheme: &str) -> Result<
             })
             .count();
         if n == 0 {
-            return Err(format!("no {stage} span in trace (scheme {scheme})"));
+            return Err(format!("no {stage} span in trace (scheme {})", scheme.name));
         }
     }
     // Causal integrity of the emitted spans: ids unique and non-zero,
@@ -2324,7 +2330,7 @@ fn loadgen_cmd(args: &[String]) -> ExitCode {
                     let Ok(mut stream) = std::net::TcpStream::connect(&addr) else {
                         return (lat, busy, chunk.len());
                     };
-                    for r in chunk {
+                    for (i, r) in chunk.iter().enumerate() {
                         let req = mix_request(r);
                         let t = Instant::now();
                         match serve_roundtrip(&mut stream, &req) {
@@ -2334,7 +2340,9 @@ fn loadgen_cmd(args: &[String]) -> ExitCode {
                             Ok((ServeOutcome::Busy, _)) => busy += 1,
                             Ok((ServeOutcome::Error, _)) => errors += 1,
                             Err(_) => {
-                                errors += 1;
+                                // The connection is dead: this request and
+                                // every one still queued on it failed.
+                                errors += chunk.len() - i;
                                 break;
                             }
                         }
@@ -2367,6 +2375,13 @@ fn loadgen_cmd(args: &[String]) -> ExitCode {
     hot_lat.sort_unstable();
     cold_lat.sort_unstable();
     let ok = hot_lat.len() + cold_lat.len();
+    if ok + busy + errors != requests {
+        eprintln!(
+            "tepic-cc loadgen: accounting mismatch: {ok} ok + {busy} busy + {errors} error(s) \
+             != {requests} request(s)"
+        );
+        return ExitCode::FAILURE;
+    }
     let throughput = ok as f64 / (wall_ns.max(1) as f64 / 1e9);
     let (hot_p50, hot_p99) = (percentile_ns(&hot_lat, 0.5), percentile_ns(&hot_lat, 0.99));
     let (cold_p50, cold_p99) = (

@@ -108,51 +108,28 @@ fn att_overhead_is_modest() {
     );
 }
 
-fn scaled_ipcs() -> (Vec<f64>, Vec<f64>, Vec<f64>, Vec<f64>) {
-    use tepic_ccc::ccc::schemes;
-    let (mut ideal, mut base, mut comp, mut tail) = (vec![], vec![], vec![], vec![]);
-    for w in &workloads::ALL {
-        let (p, run) = w.compile_and_run().unwrap();
-        let base_img = schemes::base::encode_base(&p);
-        let tail_img = schemes::tailored::TailoredScheme
-            .compress(&p)
-            .unwrap()
-            .image;
-        let comp_img = schemes::full::FullScheme::default()
-            .compress(&p)
-            .unwrap()
-            .image;
-        let code = base_img.total_bytes();
-        ideal.push(simulate(&p, &base_img, &run.trace, &FetchConfig::ideal()).ipc());
-        base.push(
-            simulate(
-                &p,
-                &base_img,
-                &run.trace,
-                &FetchConfig::scaled(EncodingClass::Base, code),
-            )
-            .ipc(),
-        );
-        comp.push(
-            simulate(
-                &p,
-                &comp_img,
-                &run.trace,
-                &FetchConfig::scaled(EncodingClass::Compressed, code),
-            )
-            .ipc(),
-        );
-        tail.push(
-            simulate(
-                &p,
-                &tail_img,
-                &run.trace,
-                &FetchConfig::scaled(EncodingClass::Tailored, code),
-            )
-            .ipc(),
-        );
-    }
-    (ideal, base, comp, tail)
+/// Per workload, the scaled Figure-13 fetch runs in `[ideal, base,
+/// compressed (full), tailored]` order, each image under its scheme's
+/// registered fetch class.
+fn scaled_runs() -> Vec<[FetchResult; 4]> {
+    use tepic_ccc::ccc::schemes::{SchemeEntry, BASE, FULL, TAILORED};
+    workloads::ALL
+        .iter()
+        .map(|w| {
+            let (p, run) = w.compile_and_run().unwrap();
+            let code = p.code_size();
+            let sim = |entry: SchemeEntry, class: EncodingClass| {
+                let image = entry.build().compress(&p).unwrap().image;
+                simulate(&p, &image, &run.trace, &FetchConfig::scaled(class, code))
+            };
+            [
+                sim(BASE, EncodingClass::Ideal),
+                sim(BASE, BASE.class),
+                sim(FULL, FULL.class),
+                sim(TAILORED, TAILORED.class),
+            ]
+        })
+        .collect()
 }
 
 /// Figure 13's headline shape: Ideal bounds everything; Tailored beats
@@ -161,7 +138,9 @@ fn scaled_ipcs() -> (Vec<f64>, Vec<f64>, Vec<f64>, Vec<f64>) {
 /// and Tailored's average exceeds Compressed's (the paper's conclusion).
 #[test]
 fn fig13_cache_study_shape() {
-    let (ideal, base, comp, tail) = scaled_ipcs();
+    let runs = scaled_runs();
+    let ipc = |i: usize| -> Vec<f64> { runs.iter().map(|r| r[i].ipc()).collect() };
+    let (ideal, base, comp, tail) = (ipc(0), ipc(1), ipc(2), ipc(3));
     for i in 0..ideal.len() {
         assert!(ideal[i] >= base[i] - 1e-9);
         assert!(ideal[i] >= comp[i] - 1e-9);
@@ -195,44 +174,9 @@ fn fig13_cache_study_shape() {
 /// Figure 14: bus activity savings track the degree of compression.
 #[test]
 fn fig14_bus_flips_track_compression() {
-    use tepic_ccc::ccc::schemes;
-    let mut base_flips = 0u64;
-    let mut comp_flips = 0u64;
-    let mut tail_flips = 0u64;
-    for w in &workloads::ALL {
-        let (p, run) = w.compile_and_run().unwrap();
-        let base_img = schemes::base::encode_base(&p);
-        let tail_img = schemes::tailored::TailoredScheme
-            .compress(&p)
-            .unwrap()
-            .image;
-        let comp_img = schemes::full::FullScheme::default()
-            .compress(&p)
-            .unwrap()
-            .image;
-        let code = base_img.total_bytes();
-        base_flips += simulate(
-            &p,
-            &base_img,
-            &run.trace,
-            &FetchConfig::scaled(EncodingClass::Base, code),
-        )
-        .bus_bit_flips;
-        comp_flips += simulate(
-            &p,
-            &comp_img,
-            &run.trace,
-            &FetchConfig::scaled(EncodingClass::Compressed, code),
-        )
-        .bus_bit_flips;
-        tail_flips += simulate(
-            &p,
-            &tail_img,
-            &run.trace,
-            &FetchConfig::scaled(EncodingClass::Tailored, code),
-        )
-        .bus_bit_flips;
-    }
+    let runs = scaled_runs();
+    let flips = |i: usize| -> u64 { runs.iter().map(|r| r[i].bus_bit_flips).sum() };
+    let (base_flips, comp_flips, tail_flips) = (flips(1), flips(2), flips(3));
     assert!(
         comp_flips < base_flips,
         "compressed {comp_flips} !< base {base_flips}"

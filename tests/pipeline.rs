@@ -2,7 +2,7 @@
 //! emulator, every compression scheme, the ATT and the fetch simulator
 //! must agree with each other.
 
-use tepic_ccc::ccc::schemes::{self, standard_schemes, Scheme};
+use tepic_ccc::ccc::schemes::{self, standard_schemes};
 use tepic_ccc::ccc::AddressTranslationTable;
 use tepic_ccc::prelude::*;
 
@@ -53,26 +53,15 @@ fn fetch_simulation_conserves_the_instruction_stream() {
     for w in workloads::ALL.iter().take(3) {
         let (program, run) = w.compile_and_run().unwrap();
         let expected_ops = run.stats.ops;
-        let base_img = schemes::base::encode_base(&program);
-        let tail = schemes::tailored::TailoredScheme
-            .compress(&program)
-            .unwrap()
-            .image;
-        let full = schemes::full::FullScheme::default()
-            .compress(&program)
-            .unwrap()
-            .image;
-        for (img, cfg) in [
-            (&base_img, FetchConfig::ideal()),
-            (&base_img, FetchConfig::base()),
-            (&tail, FetchConfig::tailored()),
-            (&full, FetchConfig::compressed()),
-        ] {
-            let r = simulate(&program, img, &run.trace, &cfg);
+        let ideal = (schemes::BASE, FetchConfig::ideal());
+        let registered = schemes::registry().map(|e| (e, FetchConfig::for_class(e.class)));
+        for (entry, cfg) in std::iter::once(ideal).chain(registered) {
+            let img = entry.build().compress(&program).unwrap().image;
+            let r = simulate(&program, &img, &run.trace, &cfg);
             assert_eq!(
                 r.ops, expected_ops,
-                "{}: {:?} dropped ops",
-                w.name, cfg.class
+                "{}: {} under {:?} dropped ops",
+                w.name, entry.name, cfg.class
             );
             assert!(r.cycles >= r.mops, "{}: cycles below MOP count", w.name);
             assert!(r.ipc() <= 6.0 + 1e-9, "{}: IPC above issue width", w.name);

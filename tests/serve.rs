@@ -13,6 +13,8 @@ use tepic_ccc::bench::serve::proto::{
     read_frame, write_frame, JobOp, JobRequest, Request, MAX_FRAME,
 };
 use tepic_ccc::bench::serve::{DispatchGate, ServeConfig, ServerHandle};
+use tepic_ccc::ccc::schemes::{lookup, EncodingClass};
+use tepic_ccc::fetch::{simulate, FetchConfig};
 use tepic_ccc::telemetry::parse_json;
 use tepic_ccc::workgen::{generate_program, Flavor, GenParams};
 
@@ -357,6 +359,44 @@ fn repeated_simulates_memoize_the_decoder_tables() {
     server.join();
 }
 
+/// The fetch path follows the scheme's registered class: only
+/// Compressed images decode on the hit path, and every class simulates
+/// under its own Table-1 configuration.
+#[test]
+fn simulate_picks_the_fetch_path_from_the_scheme_class() {
+    let server = start_uncached(ServeConfig::default());
+    let source = small_source(77);
+    let engine = Engine::uncached(1);
+    let opts = lego::Options::default();
+    let program = engine.program("class", &source, &opts).expect("compiles");
+    let trace = engine
+        .trace("class", &source, &opts, &program)
+        .expect("runs");
+    for name in [
+        "base", "byte", "stream", "stream_1", "full", "tailored", "stream_3",
+    ] {
+        let class = lookup(name).expect("registered").class;
+        let resp = roundtrip(
+            &mut connect(server.local_addr()),
+            &job(JobOp::Simulate, "class", &source, name, 0),
+        );
+        let v = parse_json(std::str::from_utf8(&resp).unwrap()).unwrap();
+        let num = |k: &str| v.get(k).and_then(|n| n.as_u64()).expect(k);
+        assert_eq!(
+            num("blocks_decoded") == 0,
+            class != EncodingClass::Compressed,
+            "{name}: decoded path must match class {class:?}"
+        );
+        let image = engine
+            .image("class", &source, &opts, name, &program)
+            .expect("encodes");
+        let local = simulate(&program, &image, &trace, &FetchConfig::for_class(class));
+        assert_eq!(num("cycles"), local.cycles, "{name}: cycles");
+    }
+    server.shutdown();
+    server.join();
+}
+
 #[test]
 fn faultsim_is_deterministic_per_seed_and_varies_across_seeds() {
     let scratch = ScratchDir::new("fault");
@@ -471,7 +511,7 @@ mod proto_props {
             ]),
             ident(),
             ident(),
-            0u64..1_000_000,
+            any::<u64>(),
             ident(),
         )
             .prop_map(|(op, name, scheme, seed, source)| {

@@ -31,19 +31,15 @@ fn program_and_trace() -> (Program, yula::BlockTrace) {
 #[test]
 fn traced_fetch_is_bit_identical_for_every_class() {
     let (program, trace) = program_and_trace();
-    let base_img = schemes::base::encode_base(&program);
-    let tailored = schemes::tailored::TailoredScheme
-        .compress(&program)
-        .expect("tailored compresses");
-    let full = schemes::full::FullScheme::default()
-        .compress(&program)
-        .expect("full compresses");
-    for (name, img, cfg) in [
-        ("ideal", &base_img, FetchConfig::ideal()),
-        ("base", &base_img, FetchConfig::base()),
-        ("tailored", &tailored.image, FetchConfig::tailored()),
-        ("compressed", &full.image, FetchConfig::compressed()),
+    for (entry, class) in [
+        (schemes::BASE, EncodingClass::Ideal),
+        (schemes::BASE, EncodingClass::Base),
+        (schemes::TAILORED, EncodingClass::Tailored),
+        (schemes::FULL, EncodingClass::Compressed),
     ] {
+        let name = format!("{class:?}");
+        let img = &entry.build().compress(&program).expect("compresses").image;
+        let cfg = FetchConfig::for_class(class);
         let plain = simulate(&program, img, &trace, &cfg);
         let mut ring = RingSink::new(1 << 20);
         let traced = simulate_traced(&program, img, &trace, &cfg, &mut ring);
@@ -69,7 +65,7 @@ fn traced_fetch_is_bit_identical_for_every_class() {
             c.integrity_faults, plain.integrity_faults,
             "{name}: integrity faults"
         );
-        if name == "ideal" {
+        if class == EncodingClass::Ideal {
             assert_eq!(c.total(), 0, "ideal touches no fetch structures");
         } else {
             assert!(c.total() > 0, "{name}: no events traced");

@@ -1,9 +1,7 @@
 //! Decode-kernel throughput: the word-at-a-time [`BitReader`] +
 //! two-level-LUT [`LutDecoder`] fast path against the bit-serial
-//! [`CanonicalDecoder`] reference, plus the throughput tier of
-//! DESIGN.md §15 — the [`InterleavedDecoder`] round-robining many
-//! stream cursors and the [`BlockCodec::decode_batch`] whole-image
-//! path — over each Huffman scheme's real tables and symbol streams.
+//! [`CanonicalDecoder`] reference, over each Huffman scheme's real
+//! tables and symbol streams.
 //!
 //! Workloads: the `go` benchmark plus a seeded `ccc-workgen` tiny-tier
 //! corpus (`CCC_DECODE_SEED`, default 42), so throughput numbers are
@@ -17,37 +15,23 @@
 //! Besides the usual per-iteration prints, this bench writes
 //! `results/decode_throughput.txt` (human table) and
 //! `results/BENCH_decode.json` (machine-readable) and exits non-zero
-//! when a regression floor fails:
-//!
-//! * the LUT path slower than the reference on the byte scheme;
-//! * the stream scheme's interleaved *compressed* throughput below
-//!   `CCC_DECODE_FLOOR` × its sequential-LUT throughput. Issue 8 aims
-//!   for 4×; the multi-symbol kernel measures 2.9–3.1× on the
-//!   reference machine (a 2.1 GHz Xeon VM), so the default floor is
-//!   set one noise notch under that — 2.5 full runs, 2.2 smoke — to
-//!   gate regressions rather than aspiration;
-//! * the stream scheme's aggregate *decoded-output* bandwidth (the
-//!   4-byte symbols the interleaved kernel stores, summed over all
-//!   lanes) below `CCC_DECODE_AGG_FLOOR` MB/s (default 1000 — the
-//!   Issue-8 "≥ 1 GB/s aggregate" headline; measured ≈ 2.4 GB/s).
+//! when the LUT path is slower than the reference on any Huffman
+//! scheme — the table can only skip work the reference does, so a
+//! slower LUT means the fast path has regressed.
 //!
 //! Set `CCC_DECODE_SMOKE=1` for a short smoke measurement.
 
 use ccc_bench::engine::cache::write_atomic;
-use ccc_bench::history::{self, SentinelConfig};
+use ccc_bench::history;
 use ccc_core::schemes::stream::StreamConfig;
-use ccc_core::schemes::{decode_blocks, pair::PairScheme, BlockCodec, Scheme};
-use ccc_core::schemes::{scheme_by_name, EncodingClass, BYTE, MATRIX, STREAM};
-use ccc_telemetry::ledger::{self, Fingerprint};
+use ccc_core::schemes::{EncodingClass, MATRIX};
+use ccc_telemetry::ledger;
 use criterion::Criterion;
 use std::fmt::Write as _;
 use std::hint::black_box;
 use std::time::Duration;
 use tepic_isa::Program;
-use tinker_huffman::{
-    BitReader, BitWriter, CanonicalDecoder, CodeBook, DecodeCounters, Dictionary,
-    InterleavedDecoder, LutDecoder, StreamLane, PIPE,
-};
+use tinker_huffman::{BitReader, BitWriter, CanonicalDecoder, CodeBook, Dictionary, LutDecoder};
 
 /// One scheme's decode workload over one program: its Huffman tables,
 /// the symbol sequence in decode order (`order[i]` names the table
@@ -105,139 +89,6 @@ impl DecodeWorkload {
 
 fn checksum(syms: &[u32]) -> u64 {
     syms.iter().fold(0u64, |a, &s| a.wrapping_add(s as u64))
-}
-
-/// The interleaved panel's unit: each per-table symbol subsequence of a
-/// [`DecodeWorkload`] re-encoded into contiguous per-lane bitstreams —
-/// the compiler-side layout the throughput tier assumes (one cursor
-/// per stream) — split into chunks so every scheme presents about
-/// [`TARGET_LANES`] concurrent cursors.
-struct LaneSet {
-    inter: InterleavedDecoder,
-    lanes: Vec<LaneBuf>,
-}
-
-struct LaneBuf {
-    bytes: Vec<u8>,
-    syms: Vec<u32>,
-    table: u32,
-}
-
-const TARGET_LANES: usize = 16;
-
-fn build_lanes(w: &DecodeWorkload) -> LaneSet {
-    let nt = w.books.len();
-    // Keep the lane count a multiple of the kernel's pipeline width so
-    // no lane is left to a partial (single-cursor) group.
-    let mut chunks = (TARGET_LANES / nt).max(1);
-    while !(nt * chunks).is_multiple_of(PIPE) {
-        chunks += 1;
-    }
-    let mut lanes = Vec::new();
-    for t in 0..nt {
-        let tsyms: Vec<u32> = w
-            .order
-            .iter()
-            .zip(&w.syms)
-            .filter(|&(&o, _)| o == t as u32)
-            .map(|(_, &s)| s)
-            .collect();
-        if tsyms.is_empty() {
-            continue;
-        }
-        let per = tsyms.len().div_ceil(chunks).max(1);
-        for chunk in tsyms.chunks(per) {
-            let mut bw = BitWriter::new();
-            for &s in chunk {
-                w.books[t].try_encode_into(s, &mut bw).unwrap();
-            }
-            lanes.push(LaneBuf {
-                bytes: bw.into_bytes(),
-                syms: chunk.to_vec(),
-                table: t as u32,
-            });
-        }
-    }
-    LaneSet {
-        inter: InterleavedDecoder::new(w.books.iter().map(CodeBook::lut_decoder).collect()),
-        lanes,
-    }
-}
-
-impl LaneSet {
-    fn specs(&self) -> Vec<StreamLane<'_>> {
-        self.lanes
-            .iter()
-            .map(|l| StreamLane {
-                bytes: &l.bytes,
-                start_bit: 0,
-                symbols: l.syms.len(),
-                table: Some(l.table),
-            })
-            .collect()
-    }
-
-    fn decode(&self) -> u64 {
-        let mut counts = DecodeCounters::default();
-        let results = self.inter.decode_streams(&self.specs(), &mut counts);
-        results
-            .iter()
-            .flat_map(|r| r.syms.iter())
-            .fold(0u64, |a, &s| a.wrapping_add(s as u64))
-    }
-
-    fn bytes(&self) -> usize {
-        self.lanes.iter().map(|l| l.bytes.len()).sum()
-    }
-
-    /// Differential check: every lane must reproduce its source chunk.
-    fn verify(&self) {
-        let mut counts = DecodeCounters::default();
-        let results = self.inter.decode_streams(&self.specs(), &mut counts);
-        for (lane, res) in self.lanes.iter().zip(&results) {
-            assert!(res.err.is_none(), "interleaved lane errored: {:?}", res.err);
-            assert_eq!(res.syms, lane.syms, "interleaved lane diverged");
-        }
-    }
-}
-
-/// The batch panel's unit: a program compressed by the real
-/// [`Scheme`], decoded whole-image through [`BlockCodec::decode_batch`].
-struct BatchLoad {
-    image: ccc_core::EncodedProgram,
-    codec: Box<dyn BlockCodec>,
-    ops: Vec<usize>,
-}
-
-fn build_batch(scheme: &dyn Scheme, p: &Program) -> BatchLoad {
-    let out = scheme.compress(p).unwrap();
-    BatchLoad {
-        image: out.image,
-        codec: out.codec,
-        ops: p.blocks().iter().map(|b| b.num_ops).collect(),
-    }
-}
-
-impl BatchLoad {
-    fn decode(&self) -> u64 {
-        let mut counts = DecodeCounters::default();
-        let results = decode_blocks(self.codec.as_ref(), &self.image, &self.ops, &mut counts);
-        results.iter().fold(0u64, |a, r| {
-            r.as_ref()
-                .unwrap()
-                .iter()
-                .fold(a, |a, &w| a.wrapping_add(w))
-        })
-    }
-
-    fn verify(&self, p: &Program) {
-        let mut counts = DecodeCounters::default();
-        let results = decode_blocks(self.codec.as_ref(), &self.image, &self.ops, &mut counts);
-        for (b, r) in results.iter().enumerate() {
-            let words: Vec<u64> = p.block_ops(b).iter().map(|o| o.encode()).collect();
-            assert_eq!(r.as_ref().unwrap(), &words, "batch decode diverged");
-        }
-    }
 }
 
 /// Byte scheme: one table over the code bytes, `max_code_len` 10.
@@ -328,23 +179,14 @@ fn pair_workload(p: &Program) -> DecodeWorkload {
     DecodeWorkload::new(vec![pair_book, single_book], order, syms)
 }
 
-/// A registered scheme, or the `pair` extension codec (which the
-/// registry does not hold).
-fn scheme_for(name: &str) -> Box<dyn Scheme> {
-    scheme_by_name(name).unwrap_or_else(|| Box::new(PairScheme::default()))
-}
-
-/// One scheme measured across every workload program: the kernel
-/// workloads plus the interleaved lane sets and real-image batch loads.
+/// One scheme measured across every workload program.
 struct SchemeRow {
     scheme: &'static str,
     loads: Vec<DecodeWorkload>,
-    lanes: Vec<LaneSet>,
-    batches: Vec<BatchLoad>,
 }
 
 fn build_row(scheme: &'static str, programs: &[(String, Program)]) -> SchemeRow {
-    let loads: Vec<DecodeWorkload> = programs
+    let loads = programs
         .iter()
         .map(|(_, p)| match scheme {
             "byte" => byte_workload(p),
@@ -353,22 +195,7 @@ fn build_row(scheme: &'static str, programs: &[(String, Program)]) -> SchemeRow 
             other => stream_workload(p, other),
         })
         .collect();
-    let lanes = loads.iter().map(build_lanes).collect();
-    let sch = scheme_for(scheme);
-    let batches = programs
-        .iter()
-        .map(|(_, p)| {
-            let b = build_batch(sch.as_ref(), p);
-            b.verify(p);
-            b
-        })
-        .collect();
-    SchemeRow {
-        scheme,
-        loads,
-        lanes,
-        batches,
-    }
+    SchemeRow { scheme, loads }
 }
 
 struct Measurement {
@@ -377,13 +204,6 @@ struct Measurement {
     compressed_bytes: usize,
     ref_ns: f64,
     lut_ns: f64,
-    num_lanes: usize,
-    lane_bytes: usize,
-    inter_ns: f64,
-    batch_blocks: usize,
-    batch_ops: usize,
-    batch_bytes: usize,
-    batch_ns: f64,
 }
 
 impl Measurement {
@@ -395,25 +215,6 @@ impl Measurement {
     }
     fn mb_per_s(&self, ns: f64) -> f64 {
         self.compressed_bytes as f64 / (ns * 1e-9) / 1e6
-    }
-    fn inter_mb_per_s(&self) -> f64 {
-        self.lane_bytes as f64 / (self.inter_ns * 1e-9) / 1e6
-    }
-    fn inter_sym_per_s(&self) -> f64 {
-        self.symbols as f64 / (self.inter_ns * 1e-9)
-    }
-    /// Aggregate decoded-output bandwidth: the 4-byte symbols the
-    /// interleaved kernel stores, summed across all lanes.
-    fn inter_decoded_mb_per_s(&self) -> f64 {
-        (self.symbols * 4) as f64 / (self.inter_ns * 1e-9) / 1e6
-    }
-    /// The Issue-8 headline: interleaved over sequential-LUT compressed
-    /// throughput (both sides normalized by their own byte totals).
-    fn inter_over_lut(&self) -> f64 {
-        self.inter_mb_per_s() / self.mb_per_s(self.lut_ns).max(1e-9)
-    }
-    fn batch_mb_per_s(&self) -> f64 {
-        self.batch_bytes as f64 / (self.batch_ns * 1e-9) / 1e6
     }
 }
 
@@ -428,7 +229,7 @@ fn measure(c: &mut Criterion, row: &SchemeRow) -> Measurement {
         .iter()
         .map(|w| w.books.iter().map(CodeBook::lut_decoder).collect())
         .collect();
-    // Every path must observe the exact same symbol sequence.
+    // Both paths must observe the exact same symbol sequence.
     for (i, w) in row.loads.iter().enumerate() {
         assert_eq!(
             w.decode_reference(&refs[i]),
@@ -436,9 +237,6 @@ fn measure(c: &mut Criterion, row: &SchemeRow) -> Measurement {
             "{}: LUT decode diverged from reference",
             row.scheme
         );
-    }
-    for set in &row.lanes {
-        set.verify();
     }
     let mut g = c.benchmark_group(row.scheme);
     let ref_ns = g.bench_best("reference", |b| {
@@ -459,24 +257,6 @@ fn measure(c: &mut Criterion, row: &SchemeRow) -> Measurement {
             a
         })
     });
-    let inter_ns = g.bench_best("interleaved", |b| {
-        b.iter(|| {
-            let mut a = 0u64;
-            for set in &row.lanes {
-                a = a.wrapping_add(black_box(set.decode()));
-            }
-            a
-        })
-    });
-    let batch_ns = g.bench_best("batch", |b| {
-        b.iter(|| {
-            let mut a = 0u64;
-            for load in &row.batches {
-                a = a.wrapping_add(black_box(load.decode()));
-            }
-            a
-        })
-    });
     g.finish();
     Measurement {
         scheme: row.scheme,
@@ -484,17 +264,6 @@ fn measure(c: &mut Criterion, row: &SchemeRow) -> Measurement {
         compressed_bytes: row.loads.iter().map(|w| w.bytes.len()).sum(),
         ref_ns,
         lut_ns,
-        num_lanes: row.lanes.iter().map(|s| s.lanes.len()).sum(),
-        lane_bytes: row.lanes.iter().map(LaneSet::bytes).sum(),
-        inter_ns,
-        batch_blocks: row.batches.iter().map(|b| b.ops.len()).sum(),
-        batch_ops: row
-            .batches
-            .iter()
-            .map(|b| b.ops.iter().sum::<usize>())
-            .sum(),
-        batch_bytes: row.batches.iter().map(|b| b.image.bytes.len()).sum(),
-        batch_ns,
     }
 }
 
@@ -545,68 +314,39 @@ fn sweep_lut_bits(c: &mut Criterion, rows: &[SchemeRow], sizes: &[u32]) -> Vec<S
         .collect()
 }
 
-fn simd_active() -> bool {
-    #[cfg(all(feature = "simd", target_arch = "x86_64"))]
-    {
-        return std::arch::is_x86_feature_detected!("avx2");
-    }
-    #[allow(unreachable_code)]
-    false
-}
-
 fn render_table(rows: &[Measurement], names: &[String]) -> String {
     let mut out = String::new();
     let _ = writeln!(
         out,
-        "Decode kernel throughput — workloads [{}], reference vs LUT vs interleaved vs batch",
+        "Decode kernel throughput — workloads [{}], reference vs LUT",
         names.join(", ")
     );
     let _ = writeln!(
         out,
-        "{:<10} {:>9} {:>10} {:>12} {:>12} {:>12} {:>6} {:>12} {:>8} {:>12} {:>8}",
-        "scheme",
-        "symbols",
-        "bytes",
-        "ref MB/s",
-        "lut MB/s",
-        "speedup",
-        "lanes",
-        "inter MB/s",
-        "x lut",
-        "dec MB/s",
-        "batch MB/s"
+        "{:<10} {:>9} {:>10} {:>12} {:>12} {:>12}",
+        "scheme", "symbols", "bytes", "ref MB/s", "lut MB/s", "speedup"
     );
     for m in rows {
         let _ = writeln!(
             out,
-            "{:<10} {:>9} {:>10} {:>12.1} {:>12.1} {:>11.2}x {:>6} {:>12.1} {:>7.2}x {:>12.0} {:>12.1}",
+            "{:<10} {:>9} {:>10} {:>12.1} {:>12.1} {:>11.2}x",
             m.scheme,
             m.symbols,
             m.compressed_bytes,
             m.mb_per_s(m.ref_ns),
             m.mb_per_s(m.lut_ns),
-            m.speedup(),
-            m.num_lanes,
-            m.inter_mb_per_s(),
-            m.inter_over_lut(),
-            m.inter_decoded_mb_per_s(),
-            m.batch_mb_per_s()
+            m.speedup()
         );
     }
     out
 }
 
-#[allow(clippy::too_many_arguments)]
 fn render_json(
     rows: &[Measurement],
     sweep: &[SweepPoint],
     names: &[String],
     seed: u64,
     smoke: bool,
-    floor: f64,
-    stream_ratio: f64,
-    agg_floor: f64,
-    stream_decoded: f64,
 ) -> String {
     let mut out = String::from("{\n");
     let _ = writeln!(out, "  \"bench\": \"decode_throughput\",");
@@ -619,20 +359,10 @@ fn render_json(
     let _ = writeln!(out, "  \"smoke\": {smoke},");
     let _ = writeln!(
         out,
-        "  \"simd\": {{ \"compiled\": {}, \"active\": {} }},",
-        cfg!(feature = "simd"),
-        simd_active()
-    );
-    let _ = writeln!(
-        out,
         "  \"lut_bits_default\": {},",
         tinker_huffman::lut::DEFAULT_LUT_BITS
     );
-    let _ = writeln!(
-        out,
-        "  \"floor\": {{ \"stream_interleaved_over_lut\": {floor}, \"measured\": {stream_ratio:.3}, \
-         \"aggregate_decoded_mb_per_sec\": {agg_floor}, \"measured_decoded\": {stream_decoded:.1} }},"
-    );
+    let _ = writeln!(out, "  \"floor\": {{ \"lut_over_reference\": 1.0 }},");
     let _ = writeln!(out, "  \"schemes\": [");
     for (i, m) in rows.iter().enumerate() {
         let _ = writeln!(out, "    {{");
@@ -646,30 +376,6 @@ fn render_json(
             let _ = writeln!(out, "        \"mb_per_sec\": {:.3}", m.mb_per_s(ns));
             let _ = writeln!(out, "      }},");
         }
-        let _ = writeln!(out, "      \"interleaved\": {{");
-        let _ = writeln!(out, "        \"lanes\": {},", m.num_lanes);
-        let _ = writeln!(out, "        \"lane_bytes\": {},", m.lane_bytes);
-        let _ = writeln!(out, "        \"ns_per_pass\": {:.1},", m.inter_ns);
-        let _ = writeln!(
-            out,
-            "        \"symbols_per_sec\": {:.0},",
-            m.inter_sym_per_s()
-        );
-        let _ = writeln!(out, "        \"mb_per_sec\": {:.3},", m.inter_mb_per_s());
-        let _ = writeln!(
-            out,
-            "        \"decoded_mb_per_sec\": {:.3},",
-            m.inter_decoded_mb_per_s()
-        );
-        let _ = writeln!(out, "        \"speedup_vs_lut\": {:.3}", m.inter_over_lut());
-        let _ = writeln!(out, "      }},");
-        let _ = writeln!(out, "      \"batch\": {{");
-        let _ = writeln!(out, "        \"blocks\": {},", m.batch_blocks);
-        let _ = writeln!(out, "        \"ops\": {},", m.batch_ops);
-        let _ = writeln!(out, "        \"image_bytes\": {},", m.batch_bytes);
-        let _ = writeln!(out, "        \"ns_per_pass\": {:.1},", m.batch_ns);
-        let _ = writeln!(out, "        \"mb_per_sec\": {:.3}", m.batch_mb_per_s());
-        let _ = writeln!(out, "      }},");
         let _ = writeln!(out, "      \"speedup\": {:.3}", m.speedup());
         let _ = writeln!(out, "    }}{}", if i + 1 < rows.len() { "," } else { "" });
     }
@@ -777,36 +483,54 @@ fn main() {
     };
     let sweep = sweep_lut_bits(&mut sweep_c, &rows, &lut_bits_arg());
 
-    // Regression floors. CCC_DECODE_FLOOR overrides the stream scheme's
-    // interleaved/lut compressed-throughput ratio floor; the defaults
-    // sit one noise notch under the 2.9-3.1x the multi-symbol kernel
-    // measures here (see the module doc). CCC_DECODE_AGG_FLOOR gates
-    // the aggregate decoded-output bandwidth in MB/s (Issue 8's
-    // ">= 1 GB/s aggregate"; measured ~2.4 GB/s).
-    let env_floor = std::env::var("CCC_DECODE_FLOOR")
-        .ok()
-        .and_then(|v| v.parse::<f64>().ok())
-        .unwrap_or(if smoke { 2.2 } else { 2.5 });
-    let env_agg_floor = std::env::var("CCC_DECODE_AGG_FLOOR")
-        .ok()
-        .and_then(|v| v.parse::<f64>().ok())
-        .unwrap_or(1000.0);
+    let table = render_table(&measured, &names);
+    print!("\n{table}");
+    let results = concat!(env!("CARGO_MANIFEST_DIR"), "/../../results");
+    write_atomic(format!("{results}/decode_throughput.txt"), table.as_bytes()).unwrap();
+    write_atomic(
+        format!("{results}/BENCH_decode.json"),
+        render_json(&measured, &sweep, &names, seed, smoke).as_bytes(),
+    )
+    .unwrap();
+    println!("wrote results/decode_throughput.txt and results/BENCH_decode.json");
 
-    // Ledger-derived floors (DESIGN.md §16): the best same-fingerprint
-    // historical value for each gated sample, derated by the sentinel
-    // band. The env/default constants above stay as the absolute
-    // backstop — the effective floor is the max of both, so history can
-    // only *raise* the bar, never lower it.
-    // Smoke and full measurements have different sample budgets, so
-    // they keep separate ledger groups.
+    // The gate: on every Huffman scheme the LUT path only skips work
+    // the reference does, so a slower LUT means the fast path has
+    // regressed.
+    let slow: Vec<String> = measured
+        .iter()
+        .filter(|m| m.speedup() < 1.0)
+        .map(|m| format!("{} ({:.2}x)", m.scheme, m.speedup()))
+        .collect();
+    if !slow.is_empty() {
+        eprintln!(
+            "REGRESSION: LUT decode slower than reference on {}",
+            slow.join(", ")
+        );
+        std::process::exit(1);
+    }
+
+    // The gate held: append this run to the ledger so `perf --check`
+    // sees it. Only passing runs land here — a degenerate measurement
+    // must not become the baseline. Smoke and full measurements have
+    // different sample budgets, so they keep separate ledger groups.
     let bench_name = if smoke {
         "decode_throughput/smoke"
     } else {
         "decode_throughput/full"
     };
-    let features = if cfg!(feature = "simd") { "simd" } else { "" };
-    let fp = Fingerprint::current(features, tinker_huffman::lut::DEFAULT_LUT_BITS as u64);
-    let cfg = SentinelConfig::default();
+    let mut rec = history::base_record(
+        bench_name,
+        seed,
+        tinker_huffman::lut::DEFAULT_LUT_BITS as u64,
+        t0.elapsed().as_nanos() as u64,
+    );
+    for m in &measured {
+        rec.samples
+            .insert(format!("{}_lut_mb_s", m.scheme), m.mb_per_s(m.lut_ns));
+        rec.samples
+            .insert(format!("{}_speedup_ratio", m.scheme), m.speedup());
+    }
     // `cargo bench` runs with the package dir as cwd, so a relative
     // ledger path is re-anchored at the workspace root — the same file
     // the CLI writes.
@@ -817,103 +541,6 @@ fn main() {
             std::path::Path::new(concat!(env!("CARGO_MANIFEST_DIR"), "/../..")).join(p)
         }
     });
-    let hist = ledger_file
-        .as_deref()
-        .and_then(|p| ledger::load(p).ok())
-        .map(|o| o.records)
-        .unwrap_or_default();
-    let derived =
-        |sample: &str| history::derived_floor(&hist, &fp, bench_name, sample, &cfg).unwrap_or(0.0);
-    let floor = env_floor.max(derived("stream_inter_over_lut_ratio"));
-    let agg_floor = env_agg_floor.max(derived("stream_decoded_mb_s"));
-    if floor > env_floor || agg_floor > env_agg_floor {
-        println!(
-            "ledger-derived floors active: ratio {floor:.2}x (backstop {env_floor:.2}x), \
-             aggregate {agg_floor:.0} MB/s (backstop {env_agg_floor:.0} MB/s)"
-        );
-    }
-    let stream = measured.iter().find(|m| m.scheme == STREAM.name).unwrap();
-    let stream_ratio = stream.inter_over_lut();
-
-    let table = render_table(&measured, &names);
-    print!("\n{table}");
-    let results = concat!(env!("CARGO_MANIFEST_DIR"), "/../../results");
-    write_atomic(format!("{results}/decode_throughput.txt"), table.as_bytes()).unwrap();
-    write_atomic(
-        format!("{results}/BENCH_decode.json"),
-        render_json(
-            &measured,
-            &sweep,
-            &names,
-            seed,
-            smoke,
-            floor,
-            stream_ratio,
-            agg_floor,
-            stream.inter_decoded_mb_per_s(),
-        )
-        .as_bytes(),
-    )
-    .unwrap();
-    println!("wrote results/decode_throughput.txt and results/BENCH_decode.json");
-
-    // Gate 1: on the byte scheme every code fits the first-level LUT,
-    // so a slower LUT path means the fast path has regressed.
-    let byte = measured.iter().find(|m| m.scheme == BYTE.name).unwrap();
-    if byte.speedup() < 1.0 {
-        eprintln!(
-            "REGRESSION: LUT decode slower than reference on byte scheme ({:.2}x)",
-            byte.speedup()
-        );
-        std::process::exit(1);
-    }
-    // Gate 2: the throughput tier must hold its floor on the stream
-    // scheme (the many-cursor case it exists for).
-    if stream_ratio < floor {
-        eprintln!(
-            "REGRESSION: stream interleaved decode at {:.2}x LUT throughput, floor {floor:.2}x \
-             ({:.1} vs {:.1} MB/s)",
-            stream_ratio,
-            stream.inter_mb_per_s(),
-            stream.mb_per_s(stream.lut_ns)
-        );
-        std::process::exit(1);
-    }
-    // Gate 3: the Issue-8 headline — aggregate decoded-output
-    // bandwidth across all stream cursors.
-    if stream.inter_decoded_mb_per_s() < agg_floor {
-        eprintln!(
-            "REGRESSION: stream interleaved decoded-output bandwidth {:.0} MB/s, \
-             floor {agg_floor:.0} MB/s",
-            stream.inter_decoded_mb_per_s()
-        );
-        std::process::exit(1);
-    }
-
-    // All gates held: append this run to the ledger so `perf --check`
-    // and the next run's derived floors see it. Only passing runs land
-    // here — a degenerate measurement must not become the baseline.
-    let mut rec = history::base_record(
-        bench_name,
-        seed,
-        features,
-        tinker_huffman::lut::DEFAULT_LUT_BITS as u64,
-        t0.elapsed().as_nanos() as u64,
-    );
-    rec.samples
-        .insert("stream_inter_mb_s".to_string(), stream.inter_mb_per_s());
-    rec.samples
-        .insert("stream_inter_over_lut_ratio".to_string(), stream_ratio);
-    rec.samples.insert(
-        "stream_decoded_mb_s".to_string(),
-        stream.inter_decoded_mb_per_s(),
-    );
-    for m in &measured {
-        rec.samples
-            .insert(format!("{}_lut_mb_s", m.scheme), m.mb_per_s(m.lut_ns));
-        rec.samples
-            .insert(format!("{}_speedup_ratio", m.scheme), m.speedup());
-    }
     if let Some(path) = &ledger_file {
         if let Err(e) = ledger::append(path, &rec) {
             eprintln!("warning: ledger append to {} failed: {e}", path.display());

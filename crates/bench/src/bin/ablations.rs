@@ -22,7 +22,6 @@ fn main() {
     ccc_bench::history::append_best_effort(&ccc_bench::history::engine_record(
         "ablations",
         0,
-        ccc_bench::history::build_features(),
         0,
         &engine,
         t0.elapsed().as_nanos() as u64,

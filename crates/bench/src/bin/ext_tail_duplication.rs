@@ -15,7 +15,6 @@ fn main() {
     ccc_bench::history::append_best_effort(&ccc_bench::history::engine_record(
         "ext_tail_duplication",
         0,
-        ccc_bench::history::build_features(),
         0,
         &engine,
         t0.elapsed().as_nanos() as u64,

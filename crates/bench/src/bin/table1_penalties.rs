@@ -7,7 +7,6 @@ fn main() {
     ccc_bench::history::append_best_effort(&ccc_bench::history::base_record(
         "table1_penalties",
         0,
-        ccc_bench::history::build_features(),
         0,
         t0.elapsed().as_nanos() as u64,
     ));

@@ -32,26 +32,11 @@ use ccc_telemetry::MetricsRegistry;
 use std::collections::BTreeMap;
 use std::path::PathBuf;
 
-/// The `--features` half of the ledger fingerprint for this build of
-/// the bench crate. Root-crate features propagate here, so this agrees
-/// with what the CLI reports.
-pub fn build_features() -> &'static str {
-    if cfg!(feature = "simd") {
-        "simd"
-    } else {
-        ""
-    }
-}
-
 /// A record with fingerprint, seed and wall-clock but no engine data.
-pub fn base_record(
-    subcommand: &str,
-    seed: u64,
-    features: &str,
-    lut_bits: u64,
-    wall_ns: u64,
-) -> LedgerRecord {
-    let mut rec = LedgerRecord::new(subcommand, Fingerprint::current(features, lut_bits));
+/// The build has no optional cargo features, so the fingerprint's
+/// feature field is always empty.
+pub fn base_record(subcommand: &str, seed: u64, lut_bits: u64, wall_ns: u64) -> LedgerRecord {
+    let mut rec = LedgerRecord::new(subcommand, Fingerprint::current("", lut_bits));
     rec.seed = seed;
     rec.wall_ns = wall_ns;
     rec.samples.insert("wall_ns".to_string(), wall_ns as f64);
@@ -65,12 +50,11 @@ pub fn base_record(
 pub fn engine_record(
     subcommand: &str,
     seed: u64,
-    features: &str,
     lut_bits: u64,
     engine: &Engine,
     wall_ns: u64,
 ) -> LedgerRecord {
-    let mut rec = base_record(subcommand, seed, features, lut_bits, wall_ns);
+    let mut rec = base_record(subcommand, seed, lut_bits, wall_ns);
     let snap = engine.snapshot();
     let registry = MetricsRegistry::new();
     snap.record_metrics(&registry);

@@ -1,7 +1,7 @@
 //! Per-dictionary decoder memoization for the warm `simulate` path.
 //!
-//! `Scheme::compress` rebuilds the codec's LUT/interleaved decode
-//! tables from scratch on every call — fine for one-shot CLI runs,
+//! `Scheme::compress` rebuilds the codec's LUT decode tables
+//! from scratch on every call — fine for one-shot CLI runs,
 //! wasteful for a daemon answering repeated `simulate` requests
 //! against the same image. This cache keys codecs by
 //! (scheme, program identity) and shares them across worker threads

@@ -9,7 +9,7 @@
 use super::{BlockDecodeError, CompressError, Scheme, SchemeOutput, SymbolCodec};
 use crate::encoded::{DecoderCost, EncodedProgram, SchemeKind};
 use tepic_isa::{Program, OP_BYTES};
-use tinker_huffman::{BitWriter, CodeBook, DecoderComplexity, InterleavedDecoder};
+use tinker_huffman::{BitWriter, CodeBook, DecoderComplexity, LutDecoder};
 
 /// Byte-alphabet Huffman scheme.
 #[derive(Debug, Clone, Copy)]
@@ -33,14 +33,14 @@ struct ByteCodec {
     /// The LUT fast path decodes identically to the bit-serial
     /// reference (`CodeBook::decoder`); hardware cost is still modelled
     /// on the reference (`DecoderComplexity` below). The `decode_block*`
-    /// triplet and the interleaved `decode_batch` are derived from this
-    /// [`SymbolCodec`] description by the blanket impl in `schemes`.
-    inter: InterleavedDecoder,
+    /// triplet is derived from this [`SymbolCodec`] description by the
+    /// blanket impl in `schemes`.
+    lut: LutDecoder,
 }
 
 impl SymbolCodec for ByteCodec {
-    fn decoder(&self) -> &InterleavedDecoder {
-        &self.inter
+    fn tables(&self) -> &[LutDecoder] {
+        std::slice::from_ref(&self.lut)
     }
 
     fn num_symbols(&self, num_ops: usize) -> usize {
@@ -56,7 +56,7 @@ impl SymbolCodec for ByteCodec {
     }
 
     fn tables_image(&self) -> Vec<u8> {
-        self.inter.table(0).table_image()
+        self.lut.table_image()
     }
 }
 
@@ -119,7 +119,7 @@ impl Scheme for ByteScheme {
         Ok(SchemeOutput {
             image,
             codec: Box::new(ByteCodec {
-                inter: InterleavedDecoder::single(book.lut_decoder()),
+                lut: book.lut_decoder(),
             }),
         })
     }

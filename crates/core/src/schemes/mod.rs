@@ -18,7 +18,7 @@ use crate::encoded::EncodedProgram;
 use crate::integrity::{crc32, IntegrityError};
 use std::fmt;
 use tepic_isa::Program;
-use tinker_huffman::{BitReader, DecodeCounters, DecodeError, InterleavedDecoder, StreamLane};
+use tinker_huffman::{BitReader, DecodeCounters, DecodeError, LutDecoder};
 
 /// Compression failure.
 #[derive(Debug, Clone, PartialEq)]
@@ -204,76 +204,40 @@ pub trait BlockCodec: Send + Sync {
         self.decode_block(image, b, num_ops)
     }
 
-    /// Decodes many blocks in one call, amortizing per-block setup and
-    /// — for the Huffman codecs — interleaving the blocks' bitstreams
-    /// so their table-lookup latencies overlap (DESIGN.md §15). Each
-    /// request yields exactly the result (words or error) that
-    /// [`BlockCodec::decode_block_counted`] would produce for it, and
-    /// `counts` receives the same totals as the equivalent sequential
-    /// loop. The default *is* that sequential loop — correct for every
-    /// codec, interleave-accelerated where a codec overrides it.
-    fn decode_batch(
-        &self,
-        image: &EncodedProgram,
-        requests: &[BlockRequest],
-        counts: &mut DecodeCounters,
-    ) -> Vec<Result<Vec<u64>, BlockDecodeError>> {
-        requests
-            .iter()
-            .map(|q| self.decode_block_counted(image, q.block, q.num_ops, counts))
-            .collect()
-    }
-
     /// Serializes the codec's decode tables (Huffman dictionaries,
     /// dense renumberings) into a deterministic byte image, the unit the
     /// dictionary CRC protects. Empty for codecs with no tables (Base).
     fn dictionary_image(&self) -> Vec<u8>;
 }
 
-/// One block's work item for [`BlockCodec::decode_batch`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct BlockRequest {
-    /// Block index into the image.
-    pub block: usize,
-    /// Number of operations the block holds.
-    pub num_ops: usize,
-}
-
-/// Batch-decodes blocks `0..ops_per_block.len()` of an image — the
-/// whole program when `ops_per_block[b]` is block `b`'s op count.
-/// Convenience wrapper over [`BlockCodec::decode_batch`].
+/// Decodes blocks `0..ops_per_block.len()` of an image — the whole
+/// program when `ops_per_block[b]` is block `b`'s op count — one
+/// [`BlockCodec::decode_block_counted`] call per block, in block order.
 pub fn decode_blocks(
     codec: &dyn BlockCodec,
     image: &EncodedProgram,
     ops_per_block: &[usize],
     counts: &mut DecodeCounters,
 ) -> Vec<Result<Vec<u64>, BlockDecodeError>> {
-    let requests: Vec<BlockRequest> = ops_per_block
+    ops_per_block
         .iter()
         .enumerate()
-        .map(|(block, &num_ops)| BlockRequest { block, num_ops })
-        .collect();
-    codec.decode_batch(image, &requests, counts)
+        .map(|(b, &num_ops)| codec.decode_block_counted(image, b, num_ops, counts))
+        .collect()
 }
 
 /// The shared shape of every Huffman block codec: a block is
-/// `num_symbols(num_ops)` codewords, codeword `i` decoded with table
-/// `table_of(i)` of one [`InterleavedDecoder`], and the symbol sequence
-/// reassembled into op words by `assemble`. The blanket
-/// [`BlockCodec`] impl below derives the whole `decode_block*` triplet
-/// *and* the interleaved `decode_batch` from these five hooks, so the
+/// `num_symbols(num_ops)` codewords, codeword `i` decoded with
+/// `tables()[table_of(i)]`, and the symbol sequence reassembled into op
+/// words by `assemble`. The blanket [`BlockCodec`] impl below derives
+/// the whole `decode_block*` triplet from these five hooks, so the
 /// byte/stream/full/pair codecs carry no per-scheme decode loops.
-///
-/// Contract: positions where `table_of` departs from the decoder's
-/// cycle must form a *suffix* of the symbol sequence (the pair codec's
-/// odd trailing single). The derived paths decode the cycle-consistent
-/// prefix on the fast path and the suffix per-symbol.
 pub(crate) trait SymbolCodec: Send + Sync {
-    /// The decode tables plus their per-symbol schedule.
-    fn decoder(&self) -> &InterleavedDecoder;
+    /// The decode tables, indexed by [`SymbolCodec::table_of`].
+    fn tables(&self) -> &[LutDecoder];
     /// Codewords encoding a block of `num_ops` operations.
     fn num_symbols(&self, num_ops: usize) -> usize;
-    /// Table decoding codeword `i`. May name a table the decoder was
+    /// Table decoding codeword `i`. May name a table the codec was
     /// built without (pair without a singles book) — decoding then
     /// fails with [`BlockDecodeError::BadValue`].
     fn table_of(&self, i: usize, num_ops: usize) -> u32;
@@ -283,22 +247,11 @@ pub(crate) trait SymbolCodec: Send + Sync {
     fn tables_image(&self) -> Vec<u8>;
 }
 
-/// Length of the leading run of codewords whose tables follow the
-/// decoder's cycle — the portion the interleaved kernel may decode.
-fn cycle_prefix<T: SymbolCodec + ?Sized>(codec: &T, n: usize, num_ops: usize) -> usize {
-    let cycle = codec.decoder().cycle();
-    let mut k = 0;
-    while k < n && codec.table_of(k, num_ops) == cycle[k % cycle.len()] {
-        k += 1;
-    }
-    k
-}
-
-/// The one sequential decode loop behind every Huffman codec's
-/// `decode_block` / `decode_block_counted` / `decode_block_reference`:
-/// whole-block `decode_n` when a single table covers the block,
-/// per-symbol over `table_of` otherwise; `reference` forces the
-/// bit-serial reference decoder (the PR-5 graceful-degradation path).
+/// The one decode loop behind every Huffman codec's `decode_block` /
+/// `decode_block_counted` / `decode_block_reference`: whole-block
+/// `decode_n` when a single table covers the block, per-symbol over
+/// `table_of` otherwise; `reference` forces the bit-serial reference
+/// decoder (the graceful-degradation path of DESIGN.md §13).
 fn decode_huffman_block<T: SymbolCodec + ?Sized>(
     codec: &T,
     image: &EncodedProgram,
@@ -307,13 +260,20 @@ fn decode_huffman_block<T: SymbolCodec + ?Sized>(
     counts: &mut DecodeCounters,
     reference: bool,
 ) -> Result<Vec<u64>, BlockDecodeError> {
-    let dec = codec.decoder();
-    let cycle = dec.cycle();
+    let table = |t: u32| {
+        codec
+            .tables()
+            .get(t as usize)
+            .ok_or(BlockDecodeError::BadValue {
+                field: "decode table",
+            })
+    };
     let n = codec.num_symbols(num_ops);
     let mut r = BitReader::at_bit(&image.bytes, image.block_start[b] * 8);
-    let uniform = cycle.len() == 1 && (n == 0 || codec.table_of(n - 1, num_ops) == cycle[0]);
-    let syms = if uniform {
-        let tab = dec.table(cycle[0] as usize);
+    let mut schedule = (0..n).map(|i| codec.table_of(i, num_ops));
+    let first = schedule.next().unwrap_or(0);
+    let syms = if schedule.all(|t| t == first) {
+        let tab = table(first)?;
         if reference {
             tab.reference().decode_n(&mut r, n)?
         } else {
@@ -322,10 +282,7 @@ fn decode_huffman_block<T: SymbolCodec + ?Sized>(
     } else {
         let mut syms = Vec::with_capacity(n);
         for i in 0..n {
-            let t = codec.table_of(i, num_ops) as usize;
-            let tab = dec.get_table(t).ok_or(BlockDecodeError::BadValue {
-                field: "decode table",
-            })?;
+            let tab = table(codec.table_of(i, num_ops))?;
             let sym = if reference {
                 tab.reference().decode_counted(&mut r, counts)?
             } else {
@@ -336,53 +293,6 @@ fn decode_huffman_block<T: SymbolCodec + ?Sized>(
         syms
     };
     codec.assemble(&syms, num_ops)
-}
-
-/// The interleaved batch path behind every Huffman codec's
-/// `decode_batch`: one lane per requested block, all lanes decoded
-/// round-robin in a single [`InterleavedDecoder::decode_streams`] call,
-/// then any off-cycle suffix (pair's trailing single) and the word
-/// reassembly finished per block. Produces exactly the per-block
-/// results and counter totals of the sequential loop.
-fn decode_huffman_batch<T: SymbolCodec + ?Sized>(
-    codec: &T,
-    image: &EncodedProgram,
-    requests: &[BlockRequest],
-    counts: &mut DecodeCounters,
-) -> Vec<Result<Vec<u64>, BlockDecodeError>> {
-    let dec = codec.decoder();
-    let lanes: Vec<StreamLane<'_>> = requests
-        .iter()
-        .map(|q| StreamLane {
-            bytes: &image.bytes,
-            start_bit: image.block_start[q.block] * 8,
-            symbols: cycle_prefix(codec, codec.num_symbols(q.num_ops), q.num_ops),
-            table: None,
-        })
-        .collect();
-    let decoded = dec.decode_streams(&lanes, counts);
-    requests
-        .iter()
-        .zip(decoded)
-        .map(|(q, lane)| {
-            if let Some(e) = lane.err {
-                return Err(e.into());
-            }
-            let n = codec.num_symbols(q.num_ops);
-            let mut syms = lane.syms;
-            if syms.len() < n {
-                let mut r = BitReader::at_bit(&image.bytes, lane.end_bit);
-                for i in syms.len()..n {
-                    let t = codec.table_of(i, q.num_ops) as usize;
-                    let tab = dec.get_table(t).ok_or(BlockDecodeError::BadValue {
-                        field: "decode table",
-                    })?;
-                    syms.push(tab.decode_counted(&mut r, counts)?);
-                }
-            }
-            codec.assemble(&syms, q.num_ops)
-        })
-        .collect()
 }
 
 impl<T: SymbolCodec> BlockCodec for T {
@@ -426,15 +336,6 @@ impl<T: SymbolCodec> BlockCodec for T {
             &mut DecodeCounters::default(),
             true,
         )
-    }
-
-    fn decode_batch(
-        &self,
-        image: &EncodedProgram,
-        requests: &[BlockRequest],
-        counts: &mut DecodeCounters,
-    ) -> Vec<Result<Vec<u64>, BlockDecodeError>> {
-        decode_huffman_batch(self, image, requests, counts)
     }
 
     fn dictionary_image(&self) -> Vec<u8> {

@@ -13,7 +13,7 @@
 use super::{BlockDecodeError, CompressError, Scheme, SchemeOutput, SymbolCodec};
 use crate::encoded::{DecoderCost, EncodedProgram, SchemeKind};
 use tepic_isa::{Program, OP_BITS};
-use tinker_huffman::{BitWriter, CodeBook, DecoderComplexity, Dictionary, InterleavedDecoder};
+use tinker_huffman::{BitWriter, CodeBook, DecoderComplexity, Dictionary, LutDecoder};
 
 /// Whole-op-pair Huffman scheme.
 #[derive(Debug, Clone, Copy)]
@@ -30,16 +30,15 @@ impl Default for PairScheme {
 
 struct PairCodec {
     /// Table 0 decodes pairs; table 1 (absent when no block has an odd
-    /// length) decodes the trailing single. The cycle is `[0]`: pairs
-    /// are the cycle-consistent prefix, the single the off-cycle tail.
-    inter: InterleavedDecoder,
+    /// length) decodes the trailing single.
+    tables: Vec<LutDecoder>,
     pair_values: Vec<(u64, u64)>,
     single_values: Vec<u64>,
 }
 
 impl SymbolCodec for PairCodec {
-    fn decoder(&self) -> &InterleavedDecoder {
-        &self.inter
+    fn tables(&self) -> &[LutDecoder] {
+        &self.tables
     }
 
     fn num_symbols(&self, num_ops: usize) -> usize {
@@ -78,12 +77,12 @@ impl SymbolCodec for PairCodec {
     }
 
     fn tables_image(&self) -> Vec<u8> {
-        let mut img = self.inter.table(0).table_image();
+        let mut img = self.tables[0].table_image();
         for (a, c) in &self.pair_values {
             img.extend_from_slice(&a.to_le_bytes());
             img.extend_from_slice(&c.to_le_bytes());
         }
-        if let Some(dec) = self.inter.get_table(1) {
+        if let Some(dec) = self.tables.get(1) {
             img.extend_from_slice(&dec.table_image());
             for v in &self.single_values {
                 img.extend_from_slice(&v.to_le_bytes());
@@ -181,7 +180,7 @@ impl Scheme for PairScheme {
         let mut tables = vec![pair_book.lut_decoder()];
         tables.extend(single_book.as_ref().map(CodeBook::lut_decoder));
         let codec = PairCodec {
-            inter: InterleavedDecoder::with_cycle(tables, vec![0]),
+            tables,
             pair_values: (0..pairs.len() as u32)
                 .map(|i| *pairs.value_of(i))
                 .collect(),

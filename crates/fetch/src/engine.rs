@@ -10,7 +10,7 @@ use crate::gshare::Gshare;
 use crate::penalty::{Outcome, PenaltyTable};
 use crate::power::BusModel;
 use ccc_core::failpoint::{sites, Failpoints};
-use ccc_core::schemes::{BlockCodec, BlockDecodeError, BlockRequest};
+use ccc_core::schemes::{BlockCodec, BlockDecodeError};
 use ccc_core::{AddressTranslationTable, EncodedProgram};
 use ccc_telemetry::{EventCounts, FetchEventKind, MetricsRegistry, TraceEvent, TraceSink};
 use tepic_isa::Program;
@@ -420,7 +420,7 @@ pub fn simulate_decoded_injected(
 }
 
 /// One block through the decompressor with the healing protocol every
-/// decoded path shares: an armed `decode.lut` failpoint forces the fast
+/// decoded run shares: an armed `decode.lut` failpoint forces the fast
 /// path to error, any fast-path error takes the one-shot retry down the
 /// bit-serial reference decoder (graceful degradation, DESIGN.md §13 —
 /// the reference shares no lookup tables with the LUT, so a corrupted
@@ -449,23 +449,7 @@ fn decode_block_healed(
         stats.reference_fallbacks += 1;
         codec.decode_block_reference(image, block, num_ops)
     });
-    note_decoded(&decoded, program, block, num_ops, stats);
-    stats.long_fallbacks += counters.long_fallbacks;
-    stats.stall_bits += counters.stall_bits;
-    decoded
-}
-
-/// Post-decode accounting shared by the healed paths: tally the ops and
-/// flag a decode error when the block errored or reconstructed the
-/// wrong words.
-fn note_decoded(
-    decoded: &Result<Vec<u64>, BlockDecodeError>,
-    program: &Program,
-    block: usize,
-    num_ops: usize,
-    stats: &mut DecodeStats,
-) {
-    match decoded {
+    match &decoded {
         Ok(words) => {
             stats.ops_decoded += words.len() as u64;
             let ok = words
@@ -478,62 +462,9 @@ fn note_decoded(
         }
         Err(_) => stats.decode_errors += 1,
     }
-}
-
-/// Decodes every block of `image` through one
-/// [`BlockCodec::decode_batch`] call — the interleaved throughput tier
-/// (DESIGN.md §15) — under the same healing protocol as
-/// [`simulate_decoded`]: blocks whose armed `decode.lut` failpoint
-/// fires are rerouted to the bit-serial reference decoder before the
-/// batch is formed, batch lanes that error take the same one-shot
-/// reference retry, and every decode is checked against the program.
-/// Returns the per-block results in block order plus [`DecodeStats`]
-/// with exactly the per-miss path's semantics
-/// (`reference_fallbacks` counts each rescue).
-pub fn batch_decode_image(
-    program: &Program,
-    image: &EncodedProgram,
-    codec: &dyn BlockCodec,
-    failpoints: Option<&Failpoints>,
-) -> (Vec<Result<Vec<u64>, BlockDecodeError>>, DecodeStats) {
-    let mut stats = DecodeStats::default();
-    let mut counters = DecodeCounters::default();
-    let num_blocks = program.num_blocks();
-    let mut results: Vec<Option<Result<Vec<u64>, BlockDecodeError>>> = vec![None; num_blocks];
-    let mut requests = Vec::with_capacity(num_blocks);
-    for (block, info) in program.blocks().iter().enumerate() {
-        if failpoints.is_some_and(|fp| fp.check(sites::DECODE_LUT).is_some()) {
-            // The failpoint kills this block's fast path: heal it on
-            // the spot so the batch carries only clean fast-path lanes.
-            stats.blocks_decoded += 1;
-            stats.reference_fallbacks += 1;
-            let decoded = codec.decode_block_reference(image, block, info.num_ops);
-            note_decoded(&decoded, program, block, info.num_ops, &mut stats);
-            results[block] = Some(decoded);
-        } else {
-            requests.push(BlockRequest {
-                block,
-                num_ops: info.num_ops,
-            });
-        }
-    }
-    let batched = codec.decode_batch(image, &requests, &mut counters);
-    for (q, res) in requests.iter().zip(batched) {
-        stats.blocks_decoded += 1;
-        let decoded = res.or_else(|_| {
-            stats.reference_fallbacks += 1;
-            codec.decode_block_reference(image, q.block, q.num_ops)
-        });
-        note_decoded(&decoded, program, q.block, q.num_ops, &mut stats);
-        results[q.block] = Some(decoded);
-    }
     stats.long_fallbacks += counters.long_fallbacks;
     stats.stall_bits += counters.stall_bits;
-    let results = results
-        .into_iter()
-        .map(|r| r.expect("every block decoded"))
-        .collect();
-    (results, stats)
+    decoded
 }
 
 /// Event recorder threaded through the traced runs: forwards each event
@@ -1109,74 +1040,34 @@ mod tests {
     }
 
     #[test]
-    fn batch_decode_matches_per_block_decode_for_every_scheme() {
-        use ccc_core::schemes::{pair::PairScheme, registry};
+    fn decode_blocks_matches_per_block_decode_for_every_scheme() {
+        use ccc_core::schemes::{decode_blocks, pair::PairScheme, registry};
         let s = loopy();
+        let ops: Vec<usize> = s.program.blocks().iter().map(|b| b.num_ops).collect();
         let pair: Box<dyn Scheme> = Box::new(PairScheme::default());
         for scheme in registry().map(|e| e.build()).chain([pair]) {
             let out = scheme.compress(&s.program).unwrap();
-            let (results, stats) =
-                batch_decode_image(&s.program, &out.image, out.codec.as_ref(), None);
+            let mut whole = DecodeCounters::default();
+            let results = decode_blocks(out.codec.as_ref(), &out.image, &ops, &mut whole);
             assert_eq!(results.len(), s.program.num_blocks());
             let mut seq = DecodeCounters::default();
-            for (b, info) in s.program.blocks().iter().enumerate() {
+            for (b, &num_ops) in ops.iter().enumerate() {
                 let want = out
                     .codec
-                    .decode_block_counted(&out.image, b, info.num_ops, &mut seq)
+                    .decode_block_counted(&out.image, b, num_ops, &mut seq)
                     .unwrap();
+                let words: Vec<u64> = s.program.block_ops(b).iter().map(|o| o.encode()).collect();
+                assert_eq!(want, words, "{}: block {b} round trip", scheme.name());
                 assert_eq!(
                     results[b].as_ref().unwrap(),
                     &want,
-                    "{}: block {b} batch/sequential mismatch",
+                    "{}: block {b} whole-image/per-block mismatch",
                     scheme.name()
                 );
             }
-            assert_eq!(stats.blocks_decoded, s.program.num_blocks() as u64);
-            assert_eq!(stats.ops_decoded, s.program.num_ops() as u64);
-            assert_eq!(stats.decode_errors, 0, "{}", scheme.name());
-            assert_eq!(stats.reference_fallbacks, 0, "{}", scheme.name());
-            // Interleaved counters fold to the sequential totals.
-            assert_eq!(
-                stats.long_fallbacks,
-                seq.long_fallbacks,
-                "{}",
-                scheme.name()
-            );
-            assert_eq!(stats.stall_bits, seq.stall_bits, "{}", scheme.name());
+            // The whole-image counters fold to the per-block totals.
+            assert_eq!(whole, seq, "{}", scheme.name());
         }
-    }
-
-    #[test]
-    fn batch_decode_heals_injected_lut_faults() {
-        let s = loopy();
-        let out = FullScheme::default().compress(&s.program).unwrap();
-        let fp = ccc_core::Failpoints::from_spec("decode.lut:1.0:error", 7).unwrap();
-        let (results, stats) =
-            batch_decode_image(&s.program, &out.image, out.codec.as_ref(), Some(&fp));
-        // Every block's fast path was killed and rerouted to the
-        // reference decoder before the batch formed; nothing is lost.
-        assert_eq!(stats.reference_fallbacks, stats.blocks_decoded);
-        assert_eq!(stats.reference_fallbacks, fp.total_fired());
-        assert_eq!(stats.decode_errors, 0);
-        for (b, info) in s.program.blocks().iter().enumerate() {
-            let words = results[b].as_ref().unwrap();
-            assert_eq!(words.len(), info.num_ops);
-        }
-    }
-
-    #[test]
-    fn batch_decode_surfaces_corruption_after_reference_retry() {
-        let s = loopy();
-        let out = FullScheme::default().compress(&s.program).unwrap();
-        let hot = s.trace.transitions().next().unwrap().0 as usize;
-        let (start, _) = out.image.block_range(hot);
-        let mut bad = out.image.clone();
-        bad.bytes[start as usize] ^= 0x40;
-        let (_, stats) = batch_decode_image(&s.program, &bad, out.codec.as_ref(), None);
-        // The corrupted lane takes its one-shot reference retry (which
-        // cannot help — the bits themselves are wrong) and is flagged.
-        assert!(stats.reference_fallbacks >= 1 || stats.decode_errors >= 1);
-        assert!(stats.decode_errors >= 1, "corruption must be flagged");
     }
 
     #[test]

@@ -32,9 +32,9 @@ pub mod power;
 pub mod units;
 
 pub use engine::{
-    batch_decode_image, simulate, simulate_decoded, simulate_decoded_injected,
-    simulate_decoded_traced, simulate_traced, simulate_with_att, DecodeStats, EncodingClass,
-    FetchConfig, FetchResult, PredictorKind,
+    simulate, simulate_decoded, simulate_decoded_injected, simulate_decoded_traced,
+    simulate_traced, simulate_with_att, DecodeStats, EncodingClass, FetchConfig, FetchResult,
+    PredictorKind,
 };
 pub use penalty::{Outcome, Penalty, PenaltyTable};
 pub use units::{simulate_with_units, FetchUnits};

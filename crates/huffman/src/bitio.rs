@@ -136,28 +136,34 @@ impl<'a> BitReader<'a> {
     /// fall back to byte-at-a-time.
     #[inline]
     pub fn refill(&mut self) {
-        refill_parts(self.bytes, self.pos, &mut self.acc, &mut self.acc_bits);
-    }
-
-    /// Decomposes the reader into `(bytes, pos, acc, acc_bits)` so a
-    /// hot kernel can hold the cursor in locals (the returned slice
-    /// carries the reader's own `'a`, not a borrow of `self`). Pair
-    /// with [`BitReader::set_raw_parts`] to commit the advanced cursor
-    /// back; the kernel must preserve the accumulator invariants
-    /// (top `acc_bits` bits of `acc` are the stream bits at `pos`,
-    /// lower bits zero).
-    #[inline]
-    pub(crate) fn raw_parts(&self) -> (&'a [u8], u64, u64, u32) {
-        (self.bytes, self.pos, self.acc, self.acc_bits)
-    }
-
-    /// Commits a cursor advanced outside the reader; see
-    /// [`BitReader::raw_parts`].
-    #[inline]
-    pub(crate) fn set_raw_parts(&mut self, pos: u64, acc: u64, acc_bits: u32) {
-        self.pos = pos;
-        self.acc = acc;
-        self.acc_bits = acc_bits;
+        if self.acc_bits > 56 {
+            return;
+        }
+        let mut next = self.pos + self.acc_bits as u64;
+        let idx = (next / 8) as usize;
+        let shift = (next % 8) as u32;
+        if let Some(chunk) = self.bytes.get(idx..idx + 8) {
+            // Whole-word load: the u64 shift drops the `shift` bits of
+            // the leading byte already accounted for, leaving the next
+            // `64 - shift` stream bits left-aligned.
+            let w = u64::from_be_bytes(chunk.try_into().expect("8-byte slice")) << shift;
+            self.acc |= w >> self.acc_bits;
+            self.acc_bits = (self.acc_bits + 64 - shift).min(64);
+            return;
+        }
+        while self.acc_bits <= 56 {
+            let idx = (next / 8) as usize;
+            if idx >= self.bytes.len() {
+                break;
+            }
+            // `shift` is nonzero only for the partial leading byte; the
+            // u8 shift left-aligns its unread bits and zeroes the rest.
+            let shift = (next % 8) as u32;
+            let v = (self.bytes[idx] << shift) as u64;
+            self.acc |= v << (56 - self.acc_bits);
+            self.acc_bits += 8 - shift;
+            next += (8 - shift) as u64;
+        }
     }
 
     /// Number of valid lookahead bits currently buffered. After
@@ -242,42 +248,6 @@ impl<'a> BitReader<'a> {
             self.acc = 0;
             self.acc_bits = 0;
         }
-    }
-}
-
-/// The refill body on raw cursor parts, shared between
-/// [`BitReader::refill`] and the register-resident kernels of
-/// [`crate::interleave`] — one implementation, so the lookahead the
-/// hot loops see is bit-exactly the reader's own.
-#[inline(always)]
-pub(crate) fn refill_parts(bytes: &[u8], pos: u64, acc: &mut u64, acc_bits: &mut u32) {
-    if *acc_bits > 56 {
-        return;
-    }
-    let mut next = pos + *acc_bits as u64;
-    let idx = (next / 8) as usize;
-    let shift = (next % 8) as u32;
-    if let Some(chunk) = bytes.get(idx..idx + 8) {
-        // Whole-word load: the u64 shift drops the `shift` bits of
-        // the leading byte already accounted for, leaving the next
-        // `64 - shift` stream bits left-aligned.
-        let w = u64::from_be_bytes(chunk.try_into().expect("8-byte slice")) << shift;
-        *acc |= w >> *acc_bits;
-        *acc_bits = (*acc_bits + 64 - shift).min(64);
-        return;
-    }
-    while *acc_bits <= 56 {
-        let idx = (next / 8) as usize;
-        if idx >= bytes.len() {
-            break;
-        }
-        // `shift` is nonzero only for the partial leading byte; the
-        // u8 shift left-aligns its unread bits and zeroes the rest.
-        let shift = (next % 8) as u32;
-        let v = (bytes[idx] << shift) as u64;
-        *acc |= v << (56 - *acc_bits);
-        *acc_bits += 8 - shift;
-        next += (8 - shift) as u64;
     }
 }
 

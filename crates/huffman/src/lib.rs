@@ -39,7 +39,6 @@ pub mod code;
 pub mod complexity;
 pub mod decode;
 pub mod dict;
-pub mod interleave;
 pub mod lut;
 
 pub use bitio::{BitReader, BitWriter};
@@ -47,7 +46,6 @@ pub use code::{CodeBook, HuffmanError};
 pub use complexity::{decoder_transistors, DecoderComplexity};
 pub use decode::{CanonicalDecoder, DecodeCounters, DecodeError};
 pub use dict::Dictionary;
-pub use interleave::{InterleavedDecoder, LaneResult, StreamLane, BURST, PIPE};
 pub use lut::LutDecoder;
 
 /// Shannon entropy of a frequency distribution, in bits per symbol.

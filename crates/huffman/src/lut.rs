@@ -32,7 +32,7 @@ pub const DEFAULT_LUT_BITS: u32 = 11;
 /// One first-level table entry: the precomputed outcome of feeding the
 /// entry's index bits to the reference decoder.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum Entry {
+enum Entry {
     /// A code of length `len` matches: consume `len` bits, emit `sym`.
     Sym { sym: u32, len: u8 },
     /// The prefix dies after `depth` bits: consume them and raise
@@ -43,21 +43,6 @@ pub(crate) enum Entry {
     Overflow { depth: u8 },
     /// The codeword extends beyond the table index: take the slow walk.
     Long,
-}
-
-impl Entry {
-    /// The interleaved kernel's packed form: `(sym << 8) | len` for a
-    /// code fully resolved by this entry, else 0 — "not a packed hit,
-    /// replay the symbol through [`LutDecoder::decode_counted`]". The
-    /// error and `Long` classes (and the never-seen-in-practice case of
-    /// a symbol too wide for 24 bits) all take the replay path, which
-    /// reproduces their exact behaviour.
-    pub(crate) fn packed(self) -> u32 {
-        match self {
-            Entry::Sym { sym, len } if sym < (1 << 24) => (sym << 8) | len as u32,
-            _ => 0,
-        }
-    }
 }
 
 /// A two-level lookup-table canonical Huffman decoder.
@@ -291,12 +276,6 @@ impl LutDecoder {
     /// First-level index width in bits.
     pub fn lut_bits(&self) -> u32 {
         self.lut_bits
-    }
-
-    /// The raw first-level table (for the interleaved kernel's packed
-    /// mirror).
-    pub(crate) fn entries(&self) -> &[Entry] {
-        &self.table
     }
 
     /// Longest code length this decoder handles.

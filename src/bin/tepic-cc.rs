@@ -168,29 +168,12 @@ fn usage() -> ExitCode {
     ExitCode::from(2)
 }
 
-/// The compiled feature set, as recorded in ledger fingerprints: ledger
-/// baselines from a simd build must not gate a baseline build.
-fn build_features() -> &'static str {
-    if cfg!(feature = "simd") {
-        "simd"
-    } else {
-        ""
-    }
-}
-
 /// The shared tail of every single-file subcommand: appends the run's
 /// ledger record (fingerprint, engine counters, stage rollups,
 /// wall-clock) and reports success. Failed runs never reach this, so
 /// aborted-early wall times cannot poison the sentinel's baselines.
 fn finish_file_cmd(cmd: &str, seed: u64, engine: &Engine, t0: Instant) -> ExitCode {
-    let rec = history::engine_record(
-        cmd,
-        seed,
-        build_features(),
-        0,
-        engine,
-        t0.elapsed().as_nanos() as u64,
-    );
+    let rec = history::engine_record(cmd, seed, 0, engine, t0.elapsed().as_nanos() as u64);
     history::append_best_effort(&rec);
     ExitCode::SUCCESS
 }
@@ -713,7 +696,6 @@ fn bench_cmd(args: &[String]) -> ExitCode {
     let mut rec = history::engine_record(
         &format!("bench/{figure_label}"),
         0,
-        build_features(),
         0,
         &engine,
         t0.elapsed().as_nanos() as u64,
@@ -938,7 +920,6 @@ fn trace_cmd(args: &[String]) -> ExitCode {
     let mut rec = history::engine_record(
         &format!("trace/{}/{scheme}", w.name),
         0,
-        build_features(),
         0,
         &engine,
         t0.elapsed().as_nanos() as u64,
@@ -1360,7 +1341,6 @@ fn chaos_cmd(args: &[String]) -> ExitCode {
         let rec = history::base_record(
             &format!("chaos/{mode}"),
             seed,
-            build_features(),
             0,
             t0.elapsed().as_nanos() as u64,
         );
@@ -1689,7 +1669,6 @@ fn gen_cmd(args: &[String]) -> ExitCode {
         let rec = history::engine_record(
             &format!("gen/{}", tier.name()),
             seed,
-            build_features(),
             0,
             &engine,
             start.elapsed().as_nanos() as u64,
@@ -2118,14 +2097,7 @@ fn perf_attr(jobs: usize) -> bool {
         path.len()
     );
 
-    let rec = history::engine_record(
-        "perf_attr",
-        0,
-        build_features(),
-        0,
-        &engine,
-        wall.as_nanos() as u64,
-    );
+    let rec = history::engine_record("perf_attr", 0, 0, &engine, wall.as_nanos() as u64);
     history::append_best_effort(&rec);
     true
 }
@@ -2478,13 +2450,7 @@ fn loadgen_cmd(args: &[String]) -> ExitCode {
     }
     println!("results -> {out_path}");
 
-    let mut rec = history::base_record(
-        "serve/loadgen",
-        seed,
-        build_features(),
-        0,
-        t0.elapsed().as_nanos() as u64,
-    );
+    let mut rec = history::base_record("serve/loadgen", seed, 0, t0.elapsed().as_nanos() as u64);
     rec.samples
         .insert("throughput_per_s".to_string(), throughput);
     rec.samples.insert("hot_p50_ns".to_string(), hot_p50 as f64);

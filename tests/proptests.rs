@@ -356,6 +356,24 @@ proptest! {
         }
     }
 
+    /// The bit-serial reference path the fetch engine heals onto
+    /// (DESIGN.md §13) reproduces every block the LUT path decodes, for
+    /// every scheme — so rerouting a block to it cannot change what the
+    /// fetch path delivers.
+    #[test]
+    fn reference_decode_matches_lut_decode_for_every_scheme(p in small_program()) {
+        for scheme in standard_schemes() {
+            let out = scheme.compress(&p).unwrap();
+            for b in 0..p.num_blocks() {
+                let n = p.block_ops(b).len();
+                let lut = out.codec.decode_block(&out.image, b, n);
+                prop_assert!(lut.is_ok(), "{} block {}", scheme.name(), b);
+                let reference = out.codec.decode_block_reference(&out.image, b, n);
+                prop_assert_eq!(lut, reference, "{} block {}", scheme.name(), b);
+            }
+        }
+    }
+
     /// Flipping any single payload bit either raises a decoder error or
     /// corrupts only the block containing the flipped bit — the blocks
     /// are byte-aligned, independently decodable atomic fetch units, so
@@ -743,203 +761,6 @@ proptest! {
                 optimize,
                 src
             );
-        }
-    }
-}
-
-// ---- The interleaved / batch throughput tier (DESIGN.md §15) ----
-
-use tepic_ccc::huffman::{DecodeCounters, InterleavedDecoder, LaneResult, StreamLane};
-
-/// Sequential reference for the interleaved decoder: one symbol at a
-/// time through each lane's `LutDecoder` (itself differentially pinned
-/// to the bit-serial canonical decoder above). The interleaved kernels
-/// must be observationally identical — same symbols, same error variant
-/// at the same bit position, same counter totals.
-fn decode_lanes_sequential(
-    dec: &InterleavedDecoder,
-    lanes: &[StreamLane<'_>],
-    counts: &mut DecodeCounters,
-) -> Vec<LaneResult> {
-    lanes
-        .iter()
-        .map(|lane| {
-            let mut r = BitReader::at_bit(lane.bytes, lane.start_bit);
-            let mut syms = Vec::new();
-            let mut err = None;
-            for i in 0..lane.symbols {
-                let t = match lane.table {
-                    Some(t) => t as usize,
-                    None => dec.cycle()[i % dec.cycle().len()] as usize,
-                };
-                match dec.table(t).decode_counted(&mut r, counts) {
-                    Ok(s) => syms.push(s),
-                    Err(e) => {
-                        err = Some(e);
-                        break;
-                    }
-                }
-            }
-            LaneResult {
-                syms,
-                err,
-                end_bit: r.bit_pos(),
-            }
-        })
-        .collect()
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(48))]
-
-    /// Many pinned lanes over arbitrary codebooks decode exactly the
-    /// messages they encode, identically to the sequential reference.
-    #[test]
-    fn interleaved_matches_sequential_on_valid_streams(
-        books_raw in prop::collection::vec(prop::collection::vec(1u64..500, 2..24), 1..4),
-        lanes_raw in prop::collection::vec((any::<u64>(), 0usize..200), 1..12),
-    ) {
-        let books: Vec<CodeBook> =
-            books_raw.iter().map(|f| CodeBook::from_freqs(f).unwrap()).collect();
-        let dec = InterleavedDecoder::new(books.iter().map(CodeBook::lut_decoder).collect());
-        let mut store: Vec<(Vec<u8>, Vec<u32>, u32)> = Vec::new();
-        for &(seed, n) in &lanes_raw {
-            let bi = (seed % books.len() as u64) as usize;
-            let alpha = books_raw[bi].len() as u64;
-            let mut x = seed | 1;
-            let mut msg = Vec::with_capacity(n);
-            let mut w = BitWriter::new();
-            for _ in 0..n {
-                x = x.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
-                let s = ((x >> 33) % alpha) as u32;
-                msg.push(s);
-                books[bi].encode_into(s, &mut w);
-            }
-            store.push((w.into_bytes(), msg, bi as u32));
-        }
-        let lanes: Vec<StreamLane<'_>> = store
-            .iter()
-            .map(|(b, m, t)| StreamLane {
-                bytes: b,
-                start_bit: 0,
-                symbols: m.len(),
-                table: Some(*t),
-            })
-            .collect();
-        let mut ic = DecodeCounters::default();
-        let got = dec.decode_streams(&lanes, &mut ic);
-        for (r, (_, m, _)) in got.iter().zip(&store) {
-            prop_assert!(r.err.is_none(), "valid lane errored: {:?}", r.err);
-            prop_assert_eq!(&r.syms, m);
-        }
-        let mut sc = DecodeCounters::default();
-        let want = decode_lanes_sequential(&dec, &lanes, &mut sc);
-        prop_assert_eq!(got, want);
-        prop_assert_eq!(ic, sc, "counter totals diverge");
-    }
-
-    /// Garbage bytes, arbitrary start offsets, over-asked symbol counts
-    /// and cycled (unpinned) lanes: the interleaved decoder reports the
-    /// same per-lane error at the same bit position as the reference.
-    #[test]
-    fn interleaved_matches_sequential_on_garbage(
-        freqs in prop::collection::vec(1u64..500, 2..24),
-        bytes in prop::collection::vec(any::<u8>(), 0..64),
-        start in 0u64..8,
-        ask in 0usize..300,
-        pin in any::<bool>(),
-    ) {
-        let book = CodeBook::from_freqs(&freqs).unwrap();
-        let dec = InterleavedDecoder::single(book.lut_decoder());
-        let lanes = [
-            StreamLane {
-                bytes: &bytes,
-                start_bit: start,
-                symbols: ask,
-                table: if pin { Some(0) } else { None },
-            },
-            StreamLane { bytes: &bytes, start_bit: 0, symbols: ask / 2, table: Some(0) },
-        ];
-        let mut ic = DecodeCounters::default();
-        let got = dec.decode_streams(&lanes, &mut ic);
-        let mut sc = DecodeCounters::default();
-        let want = decode_lanes_sequential(&dec, &lanes, &mut sc);
-        prop_assert_eq!(got, want);
-        prop_assert_eq!(ic, sc, "counter totals diverge");
-    }
-
-    /// Valid streams truncated mid-codeword (and over-asked) fail with
-    /// the same `UnexpectedEos`/`InvalidCode` positions as the reference.
-    #[test]
-    fn interleaved_matches_sequential_on_truncated_streams(
-        freqs in prop::collection::vec(1u64..500, 2..24),
-        seed in any::<u64>(),
-        n in 1usize..150,
-        cut_pct in 0u32..=100,
-        extra in 0usize..8,
-    ) {
-        let book = CodeBook::from_freqs(&freqs).unwrap();
-        let mut x = seed | 1;
-        let mut w = BitWriter::new();
-        for _ in 0..n {
-            x = x.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
-            book.encode_into(((x >> 33) % freqs.len() as u64) as u32, &mut w);
-        }
-        let mut bytes = w.into_bytes();
-        bytes.truncate(bytes.len() * cut_pct as usize / 100);
-        let dec = InterleavedDecoder::single(book.lut_decoder());
-        let lanes = [StreamLane {
-            bytes: &bytes,
-            start_bit: 0,
-            symbols: n + extra,
-            table: Some(0),
-        }];
-        let mut ic = DecodeCounters::default();
-        let got = dec.decode_streams(&lanes, &mut ic);
-        let mut sc = DecodeCounters::default();
-        let want = decode_lanes_sequential(&dec, &lanes, &mut sc);
-        prop_assert_eq!(got, want);
-        prop_assert_eq!(ic, sc, "counter totals diverge");
-    }
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(12))]
-
-    /// Whole-image batch decode under armed `decode.lut` failpoint
-    /// schedules: every fired injection is healed through the
-    /// bit-serial reference (counted in `reference_fallbacks`), and the
-    /// healed output is bit-identical to an uninjected run.
-    #[test]
-    fn batch_decode_heals_armed_lut_failpoints(
-        p in small_program(),
-        prob in prop::sample::select(vec![0.0, 0.3, 1.0]),
-        seed in any::<u64>(),
-    ) {
-        use tepic_ccc::ccc::failpoint::{sites, FailMode, Failpoints};
-        use tepic_ccc::fetch::batch_decode_image;
-        for scheme in standard_schemes() {
-            let out = match scheme.compress(&p) {
-                Ok(o) => o,
-                Err(_) => continue,
-            };
-            let (clean, cs) = batch_decode_image(&p, &out.image, out.codec.as_ref(), None);
-            prop_assert_eq!(cs.reference_fallbacks, 0);
-            prop_assert_eq!(cs.decode_errors, 0);
-            let fp =
-                Failpoints::from_spec(&format!("decode.lut:{prob}:error"), seed).unwrap();
-            let (healed, hs) =
-                batch_decode_image(&p, &out.image, out.codec.as_ref(), Some(&fp));
-            prop_assert_eq!(&healed, &clean, "healing changed decoded output");
-            prop_assert_eq!(hs.decode_errors, 0);
-            prop_assert_eq!(
-                hs.reference_fallbacks,
-                fp.fired(sites::DECODE_LUT, FailMode::Error),
-                "every fired decode.lut injection must be one reference rescue"
-            );
-            if prob == 1.0 {
-                prop_assert_eq!(hs.reference_fallbacks, p.num_blocks() as u64);
-            }
         }
     }
 }

@@ -335,7 +335,7 @@ fn repeated_simulates_memoize_the_decoder_tables() {
     assert!(String::from_utf8_lossy(&first).contains("\"blocks_decoded\""));
 
     // Satellite 3: the second simulate reuses the memoized codec
-    // instead of rebuilding LUT/interleaved tables, and the win is
+    // instead of rebuilding its LUT tables, and the win is
     // visible in the decode.* counters.
     assert_eq!(
         server.registry().counter("decode.codec_memo_misses").get(),

@@ -419,6 +419,23 @@ pub fn default_cache_dir() -> PathBuf {
     PathBuf::from("target/ccc-artifacts")
 }
 
+/// The worker count from `CCC_JOBS`, else [`default_jobs`].
+pub fn env_jobs() -> usize {
+    std::env::var("CCC_JOBS")
+        .ok()
+        .and_then(|v| v.parse::<usize>().ok())
+        .unwrap_or_else(default_jobs)
+}
+
+/// The cache directory from the environment: `None` under
+/// `CCC_NO_CACHE=1`, else `CCC_CACHE_DIR`, else [`default_cache_dir`].
+pub fn env_cache_dir() -> Option<PathBuf> {
+    if std::env::var("CCC_NO_CACHE").is_ok_and(|v| v == "1") {
+        return None;
+    }
+    Some(std::env::var("CCC_CACHE_DIR").map_or_else(|_| default_cache_dir(), PathBuf::from))
+}
+
 /// The prepared-workload engine: a worker pool plus an optional
 /// content-addressed artifact cache. Shared by reference across worker
 /// threads; all counters are atomic.
@@ -594,26 +611,16 @@ impl Engine {
     /// by `CCC_FAILPOINT_SEED`, default 0) arms fault injection; a
     /// malformed spec is reported on stderr and ignored.
     pub fn from_env() -> Engine {
-        let jobs = std::env::var("CCC_JOBS")
-            .ok()
-            .and_then(|v| v.parse::<usize>().ok())
-            .unwrap_or_else(default_jobs);
-        let eng = if std::env::var("CCC_NO_CACHE").is_ok_and(|v| v == "1") {
-            Engine::uncached(jobs)
-        } else {
-            let dir = std::env::var("CCC_CACHE_DIR")
-                .map(PathBuf::from)
-                .unwrap_or_else(|_| default_cache_dir());
-            match Engine::with_cache_dir(jobs, &dir) {
-                Ok(e) => e,
-                Err(err) => {
-                    eprintln!(
-                        "warning: artifact cache unavailable at {}: {err}",
-                        dir.display()
-                    );
-                    Engine::uncached(jobs)
-                }
-            }
+        let jobs = env_jobs();
+        let eng = match env_cache_dir() {
+            None => Engine::uncached(jobs),
+            Some(dir) => Engine::with_cache_dir(jobs, &dir).unwrap_or_else(|err| {
+                eprintln!(
+                    "warning: artifact cache unavailable at {}: {err}",
+                    dir.display()
+                );
+                Engine::uncached(jobs)
+            }),
         };
         match std::env::var("CCC_FAILPOINTS") {
             Ok(spec) if !spec.trim().is_empty() => {

@@ -3,7 +3,9 @@
 //! Each function takes already-prepared data (see [`crate::engine`]) and
 //! returns the finished text — no compiling, emulating or encoding
 //! happens here, so one engine invocation feeds the entire figure suite
-//! and the golden-snapshot tests diff exact strings.
+//! and the golden-snapshot tests diff exact strings. [`FIGURES`] is the
+//! one list of the suite: every figure's name, its committed
+//! `results/<stem>.txt`, and its renderer.
 
 use crate::engine::MATRIX_SCHEMES;
 use crate::{cache_study, cache_study_scaled, geomean, mean, median, render_table, Prepared};
@@ -19,6 +21,89 @@ use std::collections::BTreeMap;
 use std::fmt::Write as _;
 use tinker_huffman::{entropy_bits, Dictionary};
 use yula::{Emulator, Limits, OpCategory, OpMix, TraceStats};
+
+/// One table or figure of the suite: the name `tepic-cc bench --figures`
+/// takes, the stem of its committed `results/<stem>.txt`, and its
+/// renderer.
+#[derive(Debug, Clone, Copy)]
+pub struct FigureEntry {
+    /// Figure name (`fig05`).
+    pub name: &'static str,
+    /// Results stem (`fig05_compression`).
+    pub stem: &'static str,
+    /// One of the paper's deliverables, rendered by default; the rest
+    /// are extension experiments.
+    pub core: bool,
+    render: Render,
+}
+
+type Render = fn(&[Prepared], &[CompressionReport]) -> String;
+
+impl FigureEntry {
+    /// Renders the figure's text.
+    pub fn render(&self, prepared: &[Prepared], reports: &[CompressionReport]) -> String {
+        (self.render)(prepared, reports)
+    }
+}
+
+/// A paper deliverable, rendered by default.
+const fn paper(name: &'static str, stem: &'static str, render: Render) -> FigureEntry {
+    FigureEntry {
+        name,
+        stem,
+        core: true,
+        render,
+    }
+}
+
+/// An extension experiment; its results stem is its name.
+const fn ext(name: &'static str, render: Render) -> FigureEntry {
+    FigureEntry {
+        name,
+        stem: name,
+        core: false,
+        render,
+    }
+}
+
+/// The campaign behind `results/ext_fault_campaign.txt`.
+const FAULT_CAMPAIGN: CampaignConfig = CampaignConfig {
+    seed: 42,
+    faults_per_target: 100,
+};
+
+/// The figure suite in output order: the paper's core set, then the
+/// extensions.
+pub const FIGURES: [FigureEntry; 16] = [
+    paper("table1", "table1_penalties", |_, _| table1()),
+    paper("table2", "table2_formats", |_, _| table2()),
+    paper("fig05", "fig05_compression", |_, r| fig05(r)),
+    paper("fig07", "fig07_att_size", |p, r| fig07(r, p)),
+    paper("fig10", "fig10_decoder", |_, r| fig10(r)),
+    paper("fig13", "fig13_cache_study", |p, _| fig13(p)),
+    paper("fig14", "fig14_bus_power", |p, _| fig14(p)),
+    paper("diag", "diag", |p, _| diag(p)),
+    ext("ablations", |p, _| ablations(p)),
+    ext("sweep_cache", |p, _| sweep_cache(p)),
+    ext("stream_explorer", |p, _| stream_explorer(p)),
+    ext("ext_complex_units", |p, _| ext_complex_units(p)),
+    ext("ext_entropy_limit", |p, _| ext_entropy_limit(p)),
+    ext("ext_fault_campaign", |p, _| {
+        ext_fault_campaign(p, &FAULT_CAMPAIGN)
+    }),
+    ext("ext_gshare", |p, _| ext_gshare(p)),
+    ext("ext_tail_duplication", |p, _| ext_tail_duplication(p)),
+];
+
+/// The registry entry named `name`.
+pub fn figure(name: &str) -> Option<FigureEntry> {
+    FIGURES.iter().find(|f| f.name == name).copied()
+}
+
+/// The paper's core figures, in output order.
+pub fn core_figures() -> impl Iterator<Item = FigureEntry> {
+    FIGURES.into_iter().filter(|f| f.core)
+}
 
 /// Table 1 — the cycle-count assumptions of the cache study.
 pub fn table1() -> String {

@@ -1,7 +1,6 @@
 //! Run-ledger glue and the regression sentinel.
 //!
-//! Record construction: every `tepic-cc` subcommand and bench binary
-//! calls [`engine_record`] / [`base_record`] at exit and hands the
+//! Record construction: every `tepic-cc` subcommand calls [`engine_record`] / [`base_record`] at exit and hands the
 //! result to [`append_best_effort`], which honors `CCC_LEDGER` /
 //! `CCC_NO_LEDGER` and never fails the run over a ledger problem.
 //!

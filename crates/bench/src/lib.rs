@@ -1,18 +1,9 @@
 //! # ccc-bench — the experiment harness
 //!
-//! One binary per table/figure of the paper (see DESIGN.md §3 for the
-//! index):
-//!
-//! | binary | reproduces |
-//! |---|---|
-//! | `fig05_compression` | Figure 5 — code size per scheme |
-//! | `fig07_att_size` | Figure 7 — ATB characteristics / total size with ATT |
-//! | `fig10_decoder` | Figure 10 — Huffman decoder complexity |
-//! | `fig13_cache_study` | Figure 13 — IPC per encoding per benchmark |
-//! | `fig14_bus_power` | Figure 14 — memory-bus bit flips |
-//! | `table1_penalties` | Table 1 — cycle count assumptions |
-//! | `table2_formats` | Table 2 — TEPIC formats |
-//! | `diag` | workload inventory sanity |
+//! Reproduces every table and figure of the paper. [`figures::FIGURES`]
+//! lists the suite (DESIGN.md §3 maps each entry to the paper);
+//! `tepic-cc bench --figures <name>` renders one and refreshes its
+//! committed `results/<stem>.txt`.
 //!
 //! This library holds the shared plumbing: the parallel prepared-
 //! workload [`engine`] (worker pool + content-addressed artifact cache),
@@ -73,17 +64,6 @@ impl Prepared {
             .into_iter()
             .map(|s| (s, self.image(s).expect("matrix scheme")))
     }
-}
-
-/// Compiles, runs and encodes every workload through an engine
-/// configured from the environment (`CCC_JOBS`, `CCC_CACHE_DIR`,
-/// `CCC_NO_CACHE` — see [`engine::Engine::from_env`]).
-///
-/// # Errors
-///
-/// [`engine::PrepareErrors`] aggregating every workload that failed.
-pub fn prepare_all() -> Result<Vec<Prepared>, engine::PrepareErrors> {
-    engine::Engine::from_env().prepare_all()
 }
 
 /// The Figure-13 quartet for one prepared workload.

@@ -15,11 +15,11 @@ fn main() {
     let seed: u64 = args.get(1).and_then(|s| s.parse().ok()).unwrap_or(42);
     let tier = args
         .get(2)
-        .and_then(|s| Tier::by_name(s))
+        .and_then(|s| s.parse().ok())
         .unwrap_or(Tier::Paper);
     let flavor = args
         .get(3)
-        .and_then(|s| Flavor::by_name(s))
+        .and_then(|s| s.parse().ok())
         .unwrap_or(Flavor::Tepic);
 
     let opts = lego::Options::default();

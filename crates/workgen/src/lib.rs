@@ -63,6 +63,7 @@ pub use gen::generate_program;
 pub use servemix::{request_mix, MixParams, ServeRequest};
 
 use std::fmt;
+use std::str::FromStr;
 use tinker_workloads::Workload;
 
 /// Corpus size tiers, as multiples of the eight-workload paper suite.
@@ -101,11 +102,6 @@ impl Tier {
         }
     }
 
-    /// Parses a CLI tier name.
-    pub fn by_name(name: &str) -> Option<Tier> {
-        Tier::ALL.iter().copied().find(|t| t.name() == name)
-    }
-
     /// How many programs the tier holds.
     pub fn program_count(self) -> usize {
         match self {
@@ -121,6 +117,18 @@ impl Tier {
     /// eight thousand programs — deliberate, never accidental).
     pub fn is_gated(self) -> bool {
         self == Tier::ThousandX
+    }
+}
+
+/// Parses a CLI tier name; the error lists the known names.
+impl FromStr for Tier {
+    type Err = String;
+
+    fn from_str(name: &str) -> Result<Tier, String> {
+        Tier::ALL
+            .into_iter()
+            .find(|t| t.name() == name)
+            .ok_or_else(|| format!("expected one of {}", Tier::ALL.map(Tier::name).join("|")))
     }
 }
 
@@ -156,11 +164,6 @@ impl Flavor {
         }
     }
 
-    /// Parses a CLI flavor name.
-    pub fn by_name(name: &str) -> Option<Flavor> {
-        Flavor::ALL.iter().copied().find(|f| f.name() == name)
-    }
-
     /// The op-mix profile this flavor steers toward.
     pub fn target(self) -> MixProfile {
         match self {
@@ -169,6 +172,23 @@ impl Flavor {
                 fractions: FOREIGN_TARGET,
             },
         }
+    }
+}
+
+/// Parses a CLI flavor name; the error lists the known names.
+impl FromStr for Flavor {
+    type Err = String;
+
+    fn from_str(name: &str) -> Result<Flavor, String> {
+        Flavor::ALL
+            .into_iter()
+            .find(|f| f.name() == name)
+            .ok_or_else(|| {
+                format!(
+                    "expected one of {}",
+                    Flavor::ALL.map(Flavor::name).join("|")
+                )
+            })
     }
 }
 
@@ -353,9 +373,9 @@ mod tests {
     #[test]
     fn tier_names_round_trip() {
         for t in Tier::ALL {
-            assert_eq!(Tier::by_name(t.name()), Some(t));
+            assert_eq!(t.name().parse(), Ok(t));
         }
-        assert_eq!(Tier::by_name("11x"), None);
+        assert!("11x".parse::<Tier>().is_err());
         assert!(Tier::ThousandX.is_gated());
         assert!(!Tier::HundredX.is_gated());
     }
@@ -363,9 +383,9 @@ mod tests {
     #[test]
     fn flavor_names_round_trip() {
         for f in Flavor::ALL {
-            assert_eq!(Flavor::by_name(f.name()), Some(f));
+            assert_eq!(f.name().parse(), Ok(f));
         }
-        assert_eq!(Flavor::by_name("mips"), None);
+        assert!("mips".parse::<Flavor>().is_err());
     }
 
     #[test]

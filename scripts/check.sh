@@ -20,7 +20,7 @@ rm -rf "$CCC_SMOKE_DIR"
 rm -rf "$CCC_SMOKE_DIR"
 echo "warm rerun fully cache-served"
 
-echo "==> trace/metrics reconciliation smoke (all five schemes)"
+echo "==> trace/metrics reconciliation smoke (base + all five schemes)"
 # CCC_TRACE_SMOKE=1 implies --check: each emitted Chrome trace must be
 # well-formed JSON with every required pipeline-stage span present for
 # that scheme (span-coverage gaps fail), causally well-formed span
@@ -29,7 +29,7 @@ echo "==> trace/metrics reconciliation smoke (all five schemes)"
 # (results/METRICS_<scheme>.json).
 CCC_TRACE_DIR="${TMPDIR:-/tmp}/ccc-trace-smoke-$$"
 mkdir -p "$CCC_TRACE_DIR"
-for scheme in byte stream stream_1 full tailored; do
+for scheme in base byte stream stream_1 full tailored; do
     CCC_TRACE_SMOKE=1 ./target/release/tepic-cc trace --workload li --scheme "$scheme" \
         --out "$CCC_TRACE_DIR/trace-$scheme.json" >/dev/null
     [ -s "results/METRICS_$scheme.json" ] || {
@@ -38,7 +38,7 @@ for scheme in byte stream stream_1 full tailored; do
     }
 done
 rm -rf "$CCC_TRACE_DIR"
-echo "all five schemes reconcile with their metrics snapshots"
+echo "base and all five schemes reconcile with their metrics snapshots"
 
 echo "==> chaos self-healing smoke"
 # CCC_CHAOS_SMOKE=1 runs one reduced chaos campaign: the full figure

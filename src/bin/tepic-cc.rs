@@ -31,12 +31,14 @@
 //! --jobs <N>        worker threads (default: all cores; CCC_JOBS)
 //! --no-cache        rebuild everything, skip the artifact cache
 //! --cache-dir <d>   cache location (default target/ccc-artifacts)
-//! --figures <list>  comma-separated subset (default: the core figures)
+//! --figures <list>  comma-separated names from ccc_bench::figures::FIGURES
+//!                   (default: the paper's core figures)
 //! --all             every figure, table and extension experiment
 //! --assert-warm     fail unless the run was served entirely from cache
-//! --lut-bits <l>    n[,n..] in 8..=16: add a decode panel sweeping the
-//!                   first-level LUT size over each workload's op-word book
 //! ```
+//!
+//! `bench` prints every figure it renders and refreshes that figure's
+//! committed `results/<stem>.txt`.
 //!
 //! `trace` options (DESIGN.md §12):
 //!
@@ -139,10 +141,13 @@
 //! `CCC_LEDGER` relocates the file.
 
 use std::io::Read;
+use std::num::NonZeroUsize;
+use std::path::PathBuf;
 use std::process::ExitCode;
+use std::str::FromStr;
 use std::time::Instant;
 use tepic_ccc::bench::engine::cache::write_atomic;
-use tepic_ccc::bench::engine::Engine;
+use tepic_ccc::bench::engine::{env_cache_dir, env_jobs, Engine};
 use tepic_ccc::bench::{figures, history, Prepared};
 use tepic_ccc::ccc::pla::emit_tailored_decoder_verilog;
 use tepic_ccc::ccc::schemes::tailored::TailoredSpec;
@@ -153,7 +158,7 @@ fn usage() -> ExitCode {
         "usage: tepic-cc <run|disasm|report|verilog|sim|stats|faultsim> <file.tink|-> \
          [--no-opt] [--seed <u64>]\n\
          \x20      tepic-cc bench [--jobs <N>] [--no-cache] [--cache-dir <dir>] \
-         [--figures <a,b,..>] [--all] [--assert-warm] [--lut-bits <n,..>]\n\
+         [--figures <a,b,..>] [--all] [--assert-warm]\n\
          \x20      tepic-cc trace --workload <name> [--scheme <s>] [--out <file>] [--check]\n\
          \x20      tepic-cc chaos [--seed <u64>] [--sites <spec>] [--runs <N>] [--jobs <N>] \
          [--out <file>]\n\
@@ -166,6 +171,22 @@ fn usage() -> ExitCode {
          [--shutdown] [--min-rps <f>] [--max-hot-p99-ns <N>]"
     );
     ExitCode::from(2)
+}
+
+/// Reads the value after `flag` as a `T`. A missing or unparsable value
+/// is a usage error: one line on stderr, exit code 2.
+fn value<T: FromStr>(it: &mut std::slice::Iter<'_, String>, cmd: &str, flag: &str) -> T
+where
+    T::Err: std::fmt::Display,
+{
+    let Some(raw) = it.next() else {
+        eprintln!("tepic-cc {cmd}: {flag} needs a value");
+        std::process::exit(2);
+    };
+    raw.parse().unwrap_or_else(|e| {
+        eprintln!("tepic-cc {cmd}: {flag} {raw:?}: {e}");
+        std::process::exit(2);
+    })
 }
 
 /// The shared tail of every single-file subcommand: appends the run's
@@ -202,21 +223,19 @@ fn main() -> ExitCode {
         (Some(c), Some(f)) => (c.as_str(), f.as_str()),
         _ => return usage(),
     };
-    let optimize = !args.iter().any(|a| a == "--no-opt");
-    let seed = match args.iter().position(|a| a == "--seed") {
-        None => 42u64,
-        Some(i) => match args.get(i + 1).map(|v| v.parse::<u64>()) {
-            Some(Ok(s)) => s,
-            Some(Err(_)) => {
-                eprintln!("tepic-cc: --seed wants an unsigned 64-bit integer");
-                return ExitCode::from(2);
+    let mut optimize = true;
+    let mut seed = 42u64;
+    let mut it = args[2..].iter();
+    while let Some(a) = it.next() {
+        match a.as_str() {
+            "--no-opt" => optimize = false,
+            "--seed" => seed = value(&mut it, cmd, a),
+            other => {
+                eprintln!("tepic-cc {cmd}: unknown option {other}");
+                return usage();
             }
-            None => {
-                eprintln!("tepic-cc: --seed needs a value");
-                return ExitCode::from(2);
-            }
-        },
-    };
+        }
+    }
 
     // The input's file stem joins the ledger group label so runs over
     // different programs never share a sentinel baseline.
@@ -394,99 +413,22 @@ fn main() -> ExitCode {
     }
 }
 
-/// The figure suite, as one flag-ordered list of (name, needs-reports,
-/// render) entries. `--figures` picks by name; the default set is the
-/// paper's core figures; `--all` adds the extensions.
-const CORE_FIGURES: [&str; 8] = [
-    "table1", "table2", "fig05", "fig07", "fig10", "fig13", "fig14", "diag",
-];
-const EXT_FIGURES: [&str; 8] = [
-    "ablations",
-    "sweep_cache",
-    "stream_explorer",
-    "ext_complex_units",
-    "ext_entropy_limit",
-    "ext_fault_campaign",
-    "ext_gshare",
-    "ext_tail_duplication",
-];
-
-fn render_figure(
-    name: &str,
-    prepared: &[Prepared],
-    reports: &[CompressionReport],
-) -> Option<String> {
-    Some(match name {
-        "table1" => figures::table1(),
-        "table2" => figures::table2(),
-        "fig05" => figures::fig05(reports),
-        "fig07" => figures::fig07(reports, prepared),
-        "fig10" => figures::fig10(reports),
-        "fig13" => figures::fig13(prepared),
-        "fig14" => figures::fig14(prepared),
-        "diag" => figures::diag(prepared),
-        "ablations" => figures::ablations(prepared),
-        "sweep_cache" => figures::sweep_cache(prepared),
-        "stream_explorer" => figures::stream_explorer(prepared),
-        "ext_complex_units" => figures::ext_complex_units(prepared),
-        "ext_entropy_limit" => figures::ext_entropy_limit(prepared),
-        "ext_fault_campaign" => figures::ext_fault_campaign(prepared, &CampaignConfig::default()),
-        "ext_gshare" => figures::ext_gshare(prepared),
-        "ext_tail_duplication" => figures::ext_tail_duplication(prepared),
-        _ => return None,
-    })
-}
-
 fn bench_cmd(args: &[String]) -> ExitCode {
-    let mut jobs: Option<usize> = None;
+    let mut jobs: Option<NonZeroUsize> = None;
     let mut no_cache = false;
-    let mut cache_dir: Option<String> = None;
-    let mut figure_list: Option<Vec<String>> = None;
+    let mut cache_dir: Option<PathBuf> = None;
+    let mut figure_list: Option<String> = None;
     let mut all = false;
     let mut assert_warm = false;
-    let mut lut_bits: Vec<u32> = Vec::new();
     let mut it = args.iter();
     while let Some(a) = it.next() {
         match a.as_str() {
-            "--jobs" => match it.next().map(|v| v.parse::<usize>()) {
-                Some(Ok(n)) if n > 0 => jobs = Some(n),
-                _ => {
-                    eprintln!("tepic-cc bench: --jobs wants a positive integer");
-                    return ExitCode::from(2);
-                }
-            },
+            "--jobs" => jobs = Some(value(&mut it, "bench", a)),
             "--no-cache" => no_cache = true,
-            "--cache-dir" => match it.next() {
-                Some(d) => cache_dir = Some(d.clone()),
-                None => {
-                    eprintln!("tepic-cc bench: --cache-dir needs a path");
-                    return ExitCode::from(2);
-                }
-            },
-            "--figures" => match it.next() {
-                Some(list) => {
-                    figure_list = Some(list.split(',').map(|s| s.trim().to_string()).collect())
-                }
-                None => {
-                    eprintln!("tepic-cc bench: --figures needs a comma-separated list");
-                    return ExitCode::from(2);
-                }
-            },
+            "--cache-dir" => cache_dir = Some(value(&mut it, "bench", a)),
+            "--figures" => figure_list = Some(value(&mut it, "bench", a)),
             "--all" => all = true,
             "--assert-warm" => assert_warm = true,
-            "--lut-bits" => match it.next() {
-                Some(list) if list.split(',').all(|p| p.trim().parse::<u32>().is_ok()) => {
-                    lut_bits = list
-                        .split(',')
-                        .map(|p| p.trim().parse::<u32>().unwrap().clamp(8, 16))
-                        .collect();
-                    lut_bits.dedup();
-                }
-                _ => {
-                    eprintln!("tepic-cc bench: --lut-bits wants n[,n..] with n in 8..=16");
-                    return ExitCode::from(2);
-                }
-            },
             other => {
                 eprintln!("tepic-cc bench: unknown option {other}");
                 return usage();
@@ -494,21 +436,17 @@ fn bench_cmd(args: &[String]) -> ExitCode {
         }
     }
 
-    let jobs = jobs
-        .or_else(|| {
-            std::env::var("CCC_JOBS")
-                .ok()
-                .and_then(|v| v.parse::<usize>().ok())
-        })
-        .unwrap_or_else(tepic_ccc::bench::engine::default_jobs);
-    let engine = if no_cache {
-        Engine::uncached(jobs)
+    // Flags win over the environment (CCC_JOBS, CCC_NO_CACHE,
+    // CCC_CACHE_DIR).
+    let jobs = jobs.map_or_else(env_jobs, NonZeroUsize::get);
+    let cache_dir = if no_cache {
+        None
     } else {
-        let dir = cache_dir
-            .map(std::path::PathBuf::from)
-            .or_else(|| std::env::var("CCC_CACHE_DIR").ok().map(Into::into))
-            .unwrap_or_else(tepic_ccc::bench::engine::default_cache_dir);
-        match Engine::with_cache_dir(jobs, &dir) {
+        cache_dir.or_else(env_cache_dir)
+    };
+    let engine = match cache_dir {
+        None => Engine::uncached(jobs),
+        Some(dir) => match Engine::with_cache_dir(jobs, &dir) {
             Ok(e) => e,
             Err(err) => {
                 eprintln!(
@@ -517,35 +455,31 @@ fn bench_cmd(args: &[String]) -> ExitCode {
                 );
                 return ExitCode::FAILURE;
             }
-        }
+        },
     };
 
     // The figure selection joins the ledger group label — a fig05-only
     // run and the full core set are not comparable wall-clocks.
-    let (selected, figure_label): (Vec<String>, String) = match figure_list {
+    let (selected, figure_label) = match figure_list {
         Some(list) => {
-            let label = list.join("+");
-            (list, label)
-        }
-        None if all => (
-            CORE_FIGURES
+            let mut selected = Vec::new();
+            for name in list.split(',').map(str::trim) {
+                let Some(fig) = figures::figure(name) else {
+                    eprintln!("tepic-cc bench: unknown figure {name}");
+                    return ExitCode::from(2);
+                };
+                selected.push(fig);
+            }
+            let label = selected
                 .iter()
-                .chain(EXT_FIGURES.iter())
-                .map(|s| s.to_string())
-                .collect(),
-            "all".to_string(),
-        ),
-        None => (
-            CORE_FIGURES.iter().map(|s| s.to_string()).collect(),
-            "core".to_string(),
-        ),
-    };
-    for name in &selected {
-        if !CORE_FIGURES.contains(&name.as_str()) && !EXT_FIGURES.contains(&name.as_str()) {
-            eprintln!("tepic-cc bench: unknown figure {name}");
-            return ExitCode::from(2);
+                .map(|f| f.name)
+                .collect::<Vec<_>>()
+                .join("+");
+            (selected, label)
         }
-    }
+        None if all => (figures::FIGURES.to_vec(), "all".to_string()),
+        None => (figures::core_figures().collect(), "core".to_string()),
+    };
 
     eprintln!(
         "tepic-cc bench: {} figure(s), jobs={}, cache={}",
@@ -566,10 +500,15 @@ fn bench_cmd(args: &[String]) -> ExitCode {
     let prepare_wall = t0.elapsed();
 
     let t1 = Instant::now();
-    for name in &selected {
-        let text = render_figure(name, &prepared, &reports).expect("validated above");
-        println!("==================== {name} ====================");
+    for fig in &selected {
+        let text = fig.render(&prepared, &reports);
+        println!("==================== {} ====================", fig.name);
         println!("{text}");
+        let path = format!("results/{}.txt", fig.stem);
+        if let Err(e) = write_atomic(&path, text.as_bytes()) {
+            eprintln!("tepic-cc bench: cannot write {path}: {e}");
+            return ExitCode::FAILURE;
+        }
     }
     let render_wall = t1.elapsed();
 
@@ -630,54 +569,6 @@ fn bench_cmd(args: &[String]) -> ExitCode {
         tot.decode_errors
     );
 
-    // `--lut-bits`: sequential-LUT decode throughput per first-level
-    // table size, over each workload's full-scheme op-word book (the
-    // same sweep `cargo bench -p ccc-bench --bench decode_throughput
-    // -- --lut-bits ..` runs over all schemes).
-    if !lut_bits.is_empty() {
-        use tepic_ccc::huffman::{BitReader, BitWriter, Dictionary, LutDecoder};
-        println!("==================== lut-bits sweep ====================");
-        let header: Vec<String> = lut_bits.iter().map(|b| format!("{b:>4}b MB/s",)).collect();
-        println!("{:<10} {}", "workload", header.join("  "));
-        for p in &prepared {
-            let words = p.program.op_words();
-            let dict: Dictionary<u64> = words.iter().copied().collect();
-            let book = match CodeBook::bounded_from_freqs(dict.freqs(), 24) {
-                Ok(b) => b,
-                Err(e) => {
-                    println!("{:<10} <book failed: {e}>", p.workload.name);
-                    continue;
-                }
-            };
-            let syms: Vec<u32> = words.iter().map(|w| dict.id_of(w).unwrap()).collect();
-            let mut bw = BitWriter::new();
-            for &s in &syms {
-                book.encode_into(s, &mut bw);
-            }
-            let bytes = bw.into_bytes();
-            let cols: Vec<String> = lut_bits
-                .iter()
-                .map(|&bits| {
-                    let dec = LutDecoder::with_lut_bits(&book, bits);
-                    // Best of a few timed passes: interference only adds
-                    // time, so the minimum estimates the kernel's cost.
-                    let mut best = f64::INFINITY;
-                    for _ in 0..5 {
-                        let t = Instant::now();
-                        let out = dec
-                            .decode_n(&mut BitReader::new(&bytes), syms.len())
-                            .unwrap();
-                        let el = t.elapsed().as_secs_f64();
-                        std::hint::black_box(&out);
-                        best = best.min(el);
-                    }
-                    format!("{:>9.1}", bytes.len() as f64 / best / 1e6)
-                })
-                .collect();
-            println!("{:<10} {}", p.workload.name, cols.join("  "));
-        }
-    }
-
     if assert_warm {
         let expected_images =
             (prepared.len() * tepic_ccc::bench::engine::MATRIX_SCHEMES.len()) as u64;
@@ -725,27 +616,9 @@ fn trace_cmd(args: &[String]) -> ExitCode {
     let mut it = args.iter();
     while let Some(a) = it.next() {
         match a.as_str() {
-            "--workload" => match it.next() {
-                Some(w) => workload = Some(w.clone()),
-                None => {
-                    eprintln!("tepic-cc trace: --workload needs a name");
-                    return ExitCode::from(2);
-                }
-            },
-            "--scheme" => match it.next() {
-                Some(s) => scheme = s.clone(),
-                None => {
-                    eprintln!("tepic-cc trace: --scheme needs a name");
-                    return ExitCode::from(2);
-                }
-            },
-            "--out" => match it.next() {
-                Some(p) => out_path = p.clone(),
-                None => {
-                    eprintln!("tepic-cc trace: --out needs a path");
-                    return ExitCode::from(2);
-                }
-            },
+            "--workload" => workload = Some(value(&mut it, "trace", a)),
+            "--scheme" => scheme = value(&mut it, "trace", a),
+            "--out" => out_path = value(&mut it, "trace", a),
             "--check" => check = true,
             other => {
                 eprintln!("tepic-cc trace: unknown option {other}");
@@ -959,11 +832,11 @@ fn quiet_injected_panics() {
 /// Renders the core figure suite to one comparable string.
 fn figure_suite_text(prepared: &[Prepared], reports: &[CompressionReport]) -> String {
     let mut s = String::new();
-    for name in CORE_FIGURES {
+    for fig in figures::core_figures() {
         s.push_str("==================== ");
-        s.push_str(name);
+        s.push_str(fig.name);
         s.push_str(" ====================\n");
-        s.push_str(&render_figure(name, prepared, reports).expect("core figure"));
+        s.push_str(&fig.render(prepared, reports));
         s.push('\n');
     }
     s
@@ -988,46 +861,16 @@ fn chaos_cmd(args: &[String]) -> ExitCode {
     } else {
         2
     };
-    let mut jobs: Option<usize> = None;
+    let mut jobs: Option<NonZeroUsize> = None;
     let mut out_path = "results/CHAOS_report.json".to_string();
     let mut it = args.iter();
     while let Some(a) = it.next() {
         match a.as_str() {
-            "--seed" => match it.next().map(|v| v.parse::<u64>()) {
-                Some(Ok(s)) => seed = s,
-                _ => {
-                    eprintln!("tepic-cc chaos: --seed wants an unsigned 64-bit integer");
-                    return ExitCode::from(2);
-                }
-            },
-            "--sites" => match it.next() {
-                Some(s) => sites_spec = s.clone(),
-                None => {
-                    eprintln!("tepic-cc chaos: --sites needs a site:prob:mode[,..] spec");
-                    return ExitCode::from(2);
-                }
-            },
-            "--runs" => match it.next().map(|v| v.parse::<usize>()) {
-                Some(Ok(n)) if n > 0 => runs = n,
-                _ => {
-                    eprintln!("tepic-cc chaos: --runs wants a positive integer");
-                    return ExitCode::from(2);
-                }
-            },
-            "--jobs" => match it.next().map(|v| v.parse::<usize>()) {
-                Some(Ok(n)) if n > 0 => jobs = Some(n),
-                _ => {
-                    eprintln!("tepic-cc chaos: --jobs wants a positive integer");
-                    return ExitCode::from(2);
-                }
-            },
-            "--out" => match it.next() {
-                Some(p) => out_path = p.clone(),
-                None => {
-                    eprintln!("tepic-cc chaos: --out needs a path");
-                    return ExitCode::from(2);
-                }
-            },
+            "--seed" => seed = value(&mut it, "chaos", a),
+            "--sites" => sites_spec = value(&mut it, "chaos", a),
+            "--runs" => runs = value::<NonZeroUsize>(&mut it, "chaos", a).get(),
+            "--jobs" => jobs = Some(value(&mut it, "chaos", a)),
+            "--out" => out_path = value(&mut it, "chaos", a),
             other => {
                 eprintln!("tepic-cc chaos: unknown option {other}");
                 return usage();
@@ -1038,13 +881,7 @@ fn chaos_cmd(args: &[String]) -> ExitCode {
         eprintln!("tepic-cc chaos: --sites: {e}");
         return ExitCode::from(2);
     }
-    let jobs = jobs
-        .or_else(|| {
-            std::env::var("CCC_JOBS")
-                .ok()
-                .and_then(|v| v.parse::<usize>().ok())
-        })
-        .unwrap_or_else(tepic_ccc::bench::engine::default_jobs);
+    let jobs = jobs.map_or_else(env_jobs, NonZeroUsize::get);
     quiet_injected_panics();
     let root = std::path::Path::new("target/ccc-chaos");
 
@@ -1312,9 +1149,8 @@ fn chaos_cmd(args: &[String]) -> ExitCode {
          \"sites\": \"{}\",\n  \"figures\": [{}],\n  \"coverage\": {{{coverage_json}}},\n  \
          \"runs_detail\": [\n{}\n  ],\n  \"ok\": {all_ok}\n}}\n",
         json_escape(&sites_spec),
-        CORE_FIGURES
-            .iter()
-            .map(|f| format!("\"{f}\""))
+        figures::core_figures()
+            .map(|f| format!("\"{}\"", f.name))
             .collect::<Vec<_>>()
             .join(", "),
         run_jsons.join(",\n"),
@@ -1498,43 +1334,11 @@ fn gen_cmd(args: &[String]) -> ExitCode {
     let mut it = args.iter();
     while let Some(a) = it.next() {
         match a.as_str() {
-            "--seed" => match it.next().map(|v| v.parse::<u64>()) {
-                Some(Ok(s)) => seed = s,
-                _ => {
-                    eprintln!("tepic-cc gen: --seed wants an unsigned 64-bit integer");
-                    return ExitCode::from(2);
-                }
-            },
-            "--tier" => match it.next().map(|t| Tier::by_name(t)) {
-                Some(Some(t)) => tier = t,
-                _ => {
-                    let known = Tier::ALL.map(Tier::name).join("|");
-                    eprintln!("tepic-cc gen: --tier wants one of {known}");
-                    return ExitCode::from(2);
-                }
-            },
-            "--flavor" => match it.next().map(|f| Flavor::by_name(f)) {
-                Some(Some(f)) => flavor = f,
-                _ => {
-                    let known = Flavor::ALL.map(Flavor::name).join("|");
-                    eprintln!("tepic-cc gen: --flavor wants one of {known}");
-                    return ExitCode::from(2);
-                }
-            },
-            "--out" => match it.next() {
-                Some(p) => out_dir = p.clone(),
-                None => {
-                    eprintln!("tepic-cc gen: --out needs a directory");
-                    return ExitCode::from(2);
-                }
-            },
-            "--report" => match it.next() {
-                Some(p) => report_path = p.clone(),
-                None => {
-                    eprintln!("tepic-cc gen: --report needs a path");
-                    return ExitCode::from(2);
-                }
-            },
+            "--seed" => seed = value(&mut it, "gen", a),
+            "--tier" => tier = value(&mut it, "gen", a),
+            "--flavor" => flavor = value(&mut it, "gen", a),
+            "--out" => out_dir = value(&mut it, "gen", a),
+            "--report" => report_path = value(&mut it, "gen", a),
             "--campaign" => campaign = true,
             other => {
                 eprintln!("tepic-cc gen: unknown option {other}");
@@ -1686,7 +1490,6 @@ fn gen_cmd(args: &[String]) -> ExitCode {
 }
 
 fn perf_cmd(args: &[String]) -> ExitCode {
-    use std::path::PathBuf;
     use tepic_ccc::bench::history::SentinelConfig;
     use tepic_ccc::telemetry::ledger;
 
@@ -1695,52 +1498,30 @@ fn perf_cmd(args: &[String]) -> ExitCode {
     let mut ledger_override: Option<PathBuf> = None;
     let mut cfg = SentinelConfig::default();
     let mut inject: Option<f64> = None;
-    let mut jobs: Option<usize> = None;
+    let mut jobs: Option<NonZeroUsize> = None;
     let mut it = args.iter();
     while let Some(a) = it.next() {
         match a.as_str() {
             "--check" => do_check = true,
             "--attr" => do_attr = true,
-            "--ledger" => match it.next() {
-                Some(p) => ledger_override = Some(PathBuf::from(p)),
-                None => {
-                    eprintln!("tepic-cc perf: --ledger needs a path");
-                    return ExitCode::from(2);
-                }
-            },
-            "--band" => match it.next().map(|v| v.parse::<f64>()) {
-                Some(Ok(b)) if b >= 0.0 => cfg.band = b,
-                _ => {
-                    eprintln!("tepic-cc perf: --band wants a non-negative fraction (0.5 = 1.5x)");
-                    return ExitCode::from(2);
-                }
-            },
-            "--min-samples" => match it.next().map(|v| v.parse::<usize>()) {
-                Some(Ok(n)) if n > 0 => cfg.min_samples = n,
-                _ => {
-                    eprintln!("tepic-cc perf: --min-samples wants a positive integer");
-                    return ExitCode::from(2);
-                }
-            },
-            "--inject-slowdown" => match it.next().map(|v| v.parse::<f64>()) {
-                Some(Ok(f)) if f > 0.0 => inject = Some(f),
-                _ => {
-                    eprintln!("tepic-cc perf: --inject-slowdown wants a positive factor");
-                    return ExitCode::from(2);
-                }
-            },
-            "--jobs" => match it.next().map(|v| v.parse::<usize>()) {
-                Some(Ok(n)) if n > 0 => jobs = Some(n),
-                _ => {
-                    eprintln!("tepic-cc perf: --jobs wants a positive integer");
-                    return ExitCode::from(2);
-                }
-            },
+            "--ledger" => ledger_override = Some(value(&mut it, "perf", a)),
+            "--band" => cfg.band = value(&mut it, "perf", a),
+            "--min-samples" => cfg.min_samples = value::<NonZeroUsize>(&mut it, "perf", a).get(),
+            "--inject-slowdown" => inject = Some(value(&mut it, "perf", a)),
+            "--jobs" => jobs = Some(value(&mut it, "perf", a)),
             other => {
                 eprintln!("tepic-cc perf: unknown option {other}");
                 return usage();
             }
         }
+    }
+    if cfg.band.is_nan() || cfg.band < 0.0 {
+        eprintln!("tepic-cc perf: --band wants a non-negative fraction (0.5 = 1.5x)");
+        return ExitCode::from(2);
+    }
+    if inject.is_some_and(|f: f64| f.is_nan() || f <= 0.0) {
+        eprintln!("tepic-cc perf: --inject-slowdown wants a positive factor");
+        return ExitCode::from(2);
     }
     // The explicit flag wins over CCC_LEDGER; a CCC_NO_LEDGER run can
     // still *read* the default ledger — the variable gates appends, not
@@ -1754,14 +1535,7 @@ fn perf_cmd(args: &[String]) -> ExitCode {
         ok &= perf_inject(&path, factor);
     }
     if do_attr {
-        let jobs = jobs
-            .or_else(|| {
-                std::env::var("CCC_JOBS")
-                    .ok()
-                    .and_then(|v| v.parse::<usize>().ok())
-            })
-            .unwrap_or_else(tepic_ccc::bench::engine::default_jobs);
-        ok &= perf_attr(jobs);
+        ok &= perf_attr(jobs.map_or_else(env_jobs, NonZeroUsize::get));
     }
     if do_check {
         ok &= perf_check(&path, &cfg);
@@ -2179,44 +1953,17 @@ fn loadgen_cmd(args: &[String]) -> ExitCode {
     let mut it = args.iter();
     while let Some(a) = it.next() {
         match a.as_str() {
-            "--addr" => match it.next() {
-                Some(v) => addr = Some(v.clone()),
-                None => return usage(),
-            },
-            "--requests" => match it.next().map(|v| v.parse()) {
-                Some(Ok(n)) => requests = n,
-                _ => return usage(),
-            },
-            "--conns" => match it.next().map(|v| v.parse()) {
-                Some(Ok(n)) if n > 0 => conns = n,
-                _ => return usage(),
-            },
-            "--seed" => match it.next().map(|v| v.parse()) {
-                Some(Ok(n)) => seed = n,
-                _ => return usage(),
-            },
-            "--hot-frac" => match it.next().map(|v| v.parse()) {
-                Some(Ok(f)) => hot_frac = f,
-                _ => return usage(),
-            },
-            "--hot-pool" => match it.next().map(|v| v.parse()) {
-                Some(Ok(n)) if n > 0 => hot_pool = n,
-                _ => return usage(),
-            },
-            "--out" => match it.next() {
-                Some(v) => out_path = v.clone(),
-                None => return usage(),
-            },
+            "--addr" => addr = Some(value(&mut it, "loadgen", a)),
+            "--requests" => requests = value(&mut it, "loadgen", a),
+            "--conns" => conns = value::<NonZeroUsize>(&mut it, "loadgen", a).get(),
+            "--seed" => seed = value(&mut it, "loadgen", a),
+            "--hot-frac" => hot_frac = value(&mut it, "loadgen", a),
+            "--hot-pool" => hot_pool = value::<NonZeroUsize>(&mut it, "loadgen", a).get(),
+            "--out" => out_path = value(&mut it, "loadgen", a),
             "--verify" => verify = true,
             "--shutdown" => do_shutdown = true,
-            "--min-rps" => match it.next().map(|v| v.parse()) {
-                Some(Ok(f)) => min_rps = f,
-                _ => return usage(),
-            },
-            "--max-hot-p99-ns" => match it.next().map(|v| v.parse()) {
-                Some(Ok(n)) => max_hot_p99_ns = n,
-                _ => return usage(),
-            },
+            "--min-rps" => min_rps = value(&mut it, "loadgen", a),
+            "--max-hot-p99-ns" => max_hot_p99_ns = value(&mut it, "loadgen", a),
             _ => return usage(),
         }
     }

@@ -8,7 +8,7 @@
 //!
 //! * **Single-flight coalescing** — concurrent requests with equal
 //!   [`proto::JobRequest::flight_key`]s share one builder; followers
-//!   block on the leader's [`FlightSlot`] and receive the identical
+//!   block on the leader's `FlightSlot` and receive the identical
 //!   response bytes. A cold-key stampede runs exactly one build.
 //! * **Bounded admission** — at most `queue_depth` jobs wait for the
 //!   dispatcher; past that the daemon answers a typed `busy` error
@@ -32,9 +32,7 @@ use std::time::{Duration, Instant};
 use ccc_core::schemes::{lookup, BlockCodec, EncodingClass, SchemeEntry};
 use ccc_core::{crc32, encoded_to_bytes, Failpoints};
 use ccc_telemetry::{json, MetricsRegistry};
-use ifetch_sim::{
-    simulate, simulate_decoded, simulate_decoded_injected, DecodeStats, FetchConfig, FetchResult,
-};
+use ifetch_sim::{DecodeStats, Decoder, FetchConfig, FetchResult, Simulation};
 use tepic_isa::wire::Fnv128;
 
 use crate::engine::{pool, Engine};
@@ -534,21 +532,20 @@ fn execute_job(shared: &Arc<Shared>, req: &JobRequest) -> Result<String, WireErr
             // Base and Tailored fetch their words directly.
             let entry = scheme_entry(&req.scheme)?;
             let cfg = FetchConfig::for_class(entry.class);
-            let (result, dstats) = if entry.class == EncodingClass::Compressed {
-                let codec = memo_codec(shared, req, entry, &program)?;
-                if req.op == JobOp::Faultsim {
-                    let fp = Failpoints::from_spec(FAULTSIM_SPEC, req.seed)
-                        .map_err(|e| WireError::new(ErrKind::Internal, e.to_string()))?;
-                    simulate_decoded_injected(&program, &image, &trace, &cfg, codec.as_ref(), &fp)
-                } else {
-                    simulate_decoded(&program, &image, &trace, &cfg, codec.as_ref())
-                }
-            } else {
-                (
-                    simulate(&program, &image, &trace, &cfg),
-                    DecodeStats::default(),
-                )
-            };
+            let codec = (entry.class == EncodingClass::Compressed)
+                .then(|| memo_codec(shared, req, entry, &program))
+                .transpose()?;
+            let failpoints = (req.op == JobOp::Faultsim)
+                .then(|| Failpoints::from_spec(FAULTSIM_SPEC, req.seed))
+                .transpose()
+                .map_err(|e| WireError::new(ErrKind::Internal, e.to_string()))?;
+            let decoder = codec.as_deref().map(|codec| Decoder {
+                codec,
+                failpoints: failpoints.as_ref(),
+            });
+            let (result, dstats) = Simulation::new(&cfg)
+                .with_decoder(decoder)
+                .run(&program, &image, &trace);
             dstats.record_metrics(&shared.registry);
             Ok(render_sim(req, &result, &dstats))
         }

@@ -181,6 +181,27 @@ pub struct FetchResult {
 }
 
 impl FetchResult {
+    /// A result for `class` with every counter at zero.
+    pub(crate) fn zero(class: EncodingClass) -> FetchResult {
+        FetchResult {
+            class,
+            cycles: 0,
+            ops: 0,
+            mops: 0,
+            pred_correct: 0,
+            pred_wrong: 0,
+            cache_hits: 0,
+            cache_misses: 0,
+            buffer_hits: 0,
+            buffer_misses: 0,
+            atb_hits: 0,
+            atb_misses: 0,
+            bus_beats: 0,
+            bus_bit_flips: 0,
+            integrity_faults: 0,
+        }
+    }
+
     /// Operations delivered per cycle — the Figure-13 metric.
     pub fn ipc(&self) -> f64 {
         if self.cycles == 0 {
@@ -245,8 +266,8 @@ impl FetchResult {
     }
 }
 
-/// Decompressor activity observed when a [`BlockCodec`] rides along via
-/// [`simulate_decoded`]. The decompressor engages on every L0 buffer
+/// Decompressor activity observed when a [`Decoder`] rides along a
+/// [`Simulation`]. The decompressor engages on every L0 buffer
 /// miss of the Compressed class (paper §4: the buffer sits in front of
 /// it precisely to keep it off the common path), so these counters
 /// measure how much actual Huffman decode work the fetch path performs.
@@ -290,83 +311,21 @@ impl DecodeStats {
 }
 
 /// Runs one configuration over a program, its encoded image and its
-/// dynamic trace. The ATT is built from the image as given — for fault
-/// studies where the ROM image may differ from what the compiler saw,
-/// use [`simulate_with_att`] with the compile-time table.
+/// dynamic trace: the plain [`Simulation`], with the ATT built from the
+/// image as given.
 pub fn simulate(
     program: &Program,
     image: &EncodedProgram,
     trace: &BlockTrace,
     config: &FetchConfig,
 ) -> FetchResult {
-    let att = AddressTranslationTable::build(program, image);
-    simulate_with_att(program, image, &att, trace, config)
+    Simulation::new(config).run(program, image, trace).0
 }
 
-/// [`simulate`] with an explicit Address Translation Table. The table
-/// carries the integrity metadata (per-block parity, entry CRC-8) the
-/// compiler recorded; passing the clean-build table against a corrupted
-/// `image` is how fault-injection studies observe `integrity_faults`.
-pub fn simulate_with_att(
-    program: &Program,
-    image: &EncodedProgram,
-    att: &AddressTranslationTable,
-    trace: &BlockTrace,
-    config: &FetchConfig,
-) -> FetchResult {
-    simulate_inner(program, image, att, trace, config, None, None, None)
-}
-
-/// [`simulate`] with structured event tracing: every per-block pipeline
-/// event (cache hit/miss with its bank, ATB hit/miss, predictor
-/// outcome, L0 hit/fill, decode stall, integrity fault) is recorded
-/// into `sink`, stamped with the simulated cycle. The [`FetchResult`]
-/// is **identical** to the untraced run — tracing observes, never
-/// steers — and before returning, the engine asserts that the traced
-/// event counts reconcile exactly with the result's own counters.
-pub fn simulate_traced(
-    program: &Program,
-    image: &EncodedProgram,
-    trace: &BlockTrace,
-    config: &FetchConfig,
-    sink: &mut dyn TraceSink,
-) -> FetchResult {
-    let att = AddressTranslationTable::build(program, image);
-    simulate_inner(program, image, &att, trace, config, None, None, Some(sink))
-}
-
-/// [`simulate_decoded`] with structured event tracing — see
-/// [`simulate_traced`]. Both the [`FetchResult`] and the
-/// [`DecodeStats`] are identical to the untraced run.
-pub fn simulate_decoded_traced(
-    program: &Program,
-    image: &EncodedProgram,
-    trace: &BlockTrace,
-    config: &FetchConfig,
-    codec: &dyn BlockCodec,
-    sink: &mut dyn TraceSink,
-) -> (FetchResult, DecodeStats) {
-    let att = AddressTranslationTable::build(program, image);
-    let mut stats = DecodeStats::default();
-    let r = simulate_inner(
-        program,
-        image,
-        &att,
-        trace,
-        config,
-        Some((codec, &mut stats)),
-        None,
-        Some(sink),
-    );
-    (r, stats)
-}
-
-/// [`simulate`] with the real decompressor on the fetch path: whenever
-/// the Compressed class misses the L0 buffer, the block is actually
-/// decoded through `codec` and checked against the program. Cycle
-/// accounting is untouched — Table 1 already prices the decompressor —
-/// so the [`FetchResult`] is identical to [`simulate`]'s; the extra
-/// [`DecodeStats`] report the decode work and any corruption it caught.
+/// [`simulate`] with the real decompressor on the fetch path — a
+/// [`Simulation`] with a [`Decoder`] over `codec`. The [`FetchResult`] is
+/// identical to [`simulate`]'s; the extra [`DecodeStats`] report the
+/// decode work and any corruption it caught.
 pub fn simulate_decoded(
     program: &Program,
     image: &EncodedProgram,
@@ -374,28 +333,16 @@ pub fn simulate_decoded(
     config: &FetchConfig,
     codec: &dyn BlockCodec,
 ) -> (FetchResult, DecodeStats) {
-    let att = AddressTranslationTable::build(program, image);
-    let mut stats = DecodeStats::default();
-    let r = simulate_inner(
-        program,
-        image,
-        &att,
-        trace,
-        config,
-        Some((codec, &mut stats)),
-        None,
-        None,
-    );
-    (r, stats)
+    Simulation::new(config)
+        .with_decoder(Decoder {
+            codec,
+            failpoints: None,
+        })
+        .run(program, image, trace)
 }
 
-/// [`simulate_decoded`] with a [`Failpoints`] registry armed on the LUT
-/// decode fast path (site `decode.lut`): each injected fault forces the
-/// primary decode to error, exercising the one-shot fallback to the
-/// bit-serial reference decoder. The [`FetchResult`] is identical to
-/// the clean run's — degradation changes *how* a block is decoded,
-/// never what the fetch path observes — while
-/// [`DecodeStats::reference_fallbacks`] records every rescue.
+/// [`simulate_decoded`] with `failpoints` armed on the LUT decode fast
+/// path (site `decode.lut`) — see [`Decoder::failpoints`].
 pub fn simulate_decoded_injected(
     program: &Program,
     image: &EncodedProgram,
@@ -404,19 +351,335 @@ pub fn simulate_decoded_injected(
     codec: &dyn BlockCodec,
     failpoints: &Failpoints,
 ) -> (FetchResult, DecodeStats) {
-    let att = AddressTranslationTable::build(program, image);
-    let mut stats = DecodeStats::default();
-    let r = simulate_inner(
-        program,
-        image,
-        &att,
-        trace,
-        config,
-        Some((codec, &mut stats)),
-        Some(failpoints),
-        None,
-    );
-    (r, stats)
+    Simulation::new(config)
+        .with_decoder(Decoder {
+            codec,
+            failpoints: Some(failpoints),
+        })
+        .run(program, image, trace)
+}
+
+/// The real decompressor on a Compressed fetch path: whenever the class
+/// misses the L0 buffer, the block is actually decoded through `codec`
+/// and checked against the program. Cycle accounting is untouched —
+/// Table 1 already prices the decompressor — so the [`FetchResult`] is
+/// identical to the run without a decoder. Other classes never engage it.
+pub struct Decoder<'a> {
+    /// The scheme's block decoder.
+    pub codec: &'a dyn BlockCodec,
+    /// A registry armed on the LUT decode fast path (site `decode.lut`):
+    /// each injected fault forces the primary decode to error, exercising
+    /// the one-shot fallback to the bit-serial reference decoder. The
+    /// [`FetchResult`] stays identical to the clean run's — degradation
+    /// changes *how* a block is decoded, never what the fetch path
+    /// observes — while [`DecodeStats::reference_fallbacks`] records
+    /// every rescue.
+    pub failpoints: Option<&'a Failpoints>,
+}
+
+/// One block-fetch simulation: the [`FetchConfig`] plus what the caller
+/// adds to the plain run — a compile-time ATT, a [`Decoder`], a trace
+/// sink. [`Simulation::run`] is the only entry into the block fetch loop.
+pub struct Simulation<'a> {
+    config: &'a FetchConfig,
+    att: Option<&'a AddressTranslationTable>,
+    decoder: Option<Decoder<'a>>,
+    sink: Option<&'a mut dyn TraceSink>,
+}
+
+impl<'a> Simulation<'a> {
+    /// A plain run of `config`: the ATT is built from the image, nothing
+    /// is decoded and nothing is traced.
+    pub fn new(config: &'a FetchConfig) -> Simulation<'a> {
+        Simulation {
+            config,
+            att: None,
+            decoder: None,
+            sink: None,
+        }
+    }
+
+    /// Fetches through `att` instead of a table built from the image.
+    /// The table carries the integrity metadata (per-block parity, entry
+    /// CRC-8) the compiler recorded; passing the clean-build table
+    /// against a corrupted image is how fault-injection studies observe
+    /// `integrity_faults`.
+    pub fn with_att(mut self, att: &'a AddressTranslationTable) -> Simulation<'a> {
+        self.att = Some(att);
+        self
+    }
+
+    /// Puts `decoder` on the fetch path; `None` leaves it off.
+    pub fn with_decoder(mut self, decoder: impl Into<Option<Decoder<'a>>>) -> Simulation<'a> {
+        self.decoder = decoder.into();
+        self
+    }
+
+    /// Records every per-block pipeline event (cache hit/miss with its
+    /// bank, ATB hit/miss, predictor outcome, L0 hit/fill, decode stall,
+    /// integrity fault) into `sink`, stamped with the simulated cycle.
+    /// The [`FetchResult`] and [`DecodeStats`] are **identical** to the
+    /// untraced run — tracing observes, never steers — and before
+    /// returning, [`Simulation::run`] asserts that the traced event
+    /// counts reconcile exactly with the result's own counters.
+    pub fn with_trace_sink(mut self, sink: &'a mut dyn TraceSink) -> Simulation<'a> {
+        self.sink = Some(sink);
+        self
+    }
+
+    /// Walks `trace` through the fetch structures. The [`DecodeStats`]
+    /// stay zero without a [`Decoder`].
+    pub fn run(
+        self,
+        program: &Program,
+        image: &EncodedProgram,
+        trace: &BlockTrace,
+    ) -> (FetchResult, DecodeStats) {
+        let Simulation {
+            config,
+            att,
+            decoder,
+            sink,
+        } = self;
+        let built;
+        let att = match att {
+            Some(att) => att,
+            None => {
+                built = AddressTranslationTable::build(program, image);
+                &built
+            }
+        };
+        let mut stats = DecodeStats::default();
+        let mut tracer = sink.map(|sink| Tracer {
+            sink,
+            counts: EventCounts::default(),
+        });
+        let mut path = FetchPath::new(config);
+        let mut gshare = match config.predictor {
+            PredictorKind::Gshare { history_bits } => Some(Gshare::new(history_bits)),
+            PredictorKind::AtbTwoBit => None,
+        };
+        let (compressed, translated) = (path.compressed, path.translated);
+        let mut r = FetchResult::zero(config.class);
+
+        // What the previous block's predictor said the current block
+        // would be (None for the very first block: treated as predicted
+        // — cold start).
+        let mut predicted_cur: Option<u32> = None;
+
+        let mut seq = 0u64;
+        for (cur, next) in trace.transitions() {
+            seq += 1;
+            let info = &program.blocks()[cur as usize];
+            r.ops += info.num_ops as u64;
+            r.mops += info.num_mops as u64;
+
+            if config.class == EncodingClass::Ideal {
+                r.cycles += info.num_mops as u64;
+                continue;
+            }
+
+            let predicted = predicted_cur.is_none_or(|p| p == cur);
+            if predicted_cur.is_some() {
+                if predicted {
+                    r.pred_correct += 1;
+                } else {
+                    r.pred_wrong += 1;
+                }
+                if let Some(t) = tracer.as_mut() {
+                    let kind = if predicted {
+                        FetchEventKind::PredCorrect
+                    } else {
+                        FetchEventKind::PredWrong
+                    };
+                    t.fetch(seq, r.cycles, cur, kind);
+                }
+            }
+
+            let entry = att.lookup(cur as usize);
+            let atb_hit = path.atb.access(cur, entry);
+            if let Some(t) = tracer.as_mut() {
+                let kind = if atb_hit {
+                    FetchEventKind::AtbHit
+                } else {
+                    FetchEventKind::AtbMiss {
+                        penalty: if translated {
+                            config.atb_miss_penalty
+                        } else {
+                            0
+                        },
+                    }
+                };
+                t.fetch(seq, r.cycles, cur, kind);
+            }
+            if translated && !atb_hit {
+                r.cycles += config.atb_miss_penalty as u64;
+                // The entry just arrived from code memory: run its CRC-8
+                // self-check before letting it steer the fetch.
+                if !entry.self_check() {
+                    r.integrity_faults += 1;
+                    if let Some(t) = tracer.as_mut() {
+                        t.fetch(seq, r.cycles, cur, FetchEventKind::IntegrityFault);
+                    }
+                }
+            }
+
+            let (start, end) = image.block_range(cur as usize);
+            let lines = config.cache.lines_spanned(start, end);
+
+            // The L0 buffer has priority over the main cache (paper §4):
+            // a buffer hit never touches the cache or the bus.
+            let buffer_hit = compressed && path.buffer.access(cur, info.num_ops as u32);
+            if compressed {
+                if let Some(t) = tracer.as_mut() {
+                    let kind = if buffer_hit {
+                        FetchEventKind::L0Hit
+                    } else {
+                        FetchEventKind::L0Fill {
+                            ops: info.num_ops as u32,
+                        }
+                    };
+                    t.fetch(seq, r.cycles, cur, kind);
+                }
+            }
+            if compressed && !buffer_hit {
+                // The decompressor engages: the block's compressed bits —
+                // whether they come from the cache or from memory — are
+                // decoded into the buffer before ops can issue.
+                if let Some(d) = &decoder {
+                    let _ = decode_block_healed(
+                        d,
+                        program,
+                        image,
+                        cur as usize,
+                        info.num_ops,
+                        &mut stats,
+                    );
+                }
+            }
+            // Bank of the block's first line: lines interleave across the
+            // two banks of the Figure-8 fetch design.
+            let bank = ((start / config.cache.line_bytes as u64) % 2) as u8;
+            let cache_hit = if buffer_hit {
+                true
+            } else {
+                let access = path.cache.access_block(start, end);
+                if let Some(t) = tracer.as_mut() {
+                    let kind = if access.hit {
+                        FetchEventKind::CacheHit { bank }
+                    } else {
+                        FetchEventKind::CacheMiss {
+                            bank,
+                            lines: access.fetched_lines.len() as u32,
+                        }
+                    };
+                    t.fetch(seq, r.cycles, cur, kind);
+                }
+                for &l in &access.fetched_lines {
+                    path.bus
+                        .transfer_line(&image.bytes, l, config.cache.line_bytes);
+                }
+                // Lines came in from ROM: check the block payload against
+                // the parity recorded in its ATT entry.
+                if translated
+                    && !access.hit
+                    && !entry.verify_payload(&image.bytes[start as usize..end as usize])
+                {
+                    r.integrity_faults += 1;
+                    if let Some(t) = tracer.as_mut() {
+                        t.fetch(seq, r.cycles, cur, FetchEventKind::IntegrityFault);
+                    }
+                }
+                access.hit
+            };
+
+            let pen = config.penalties.penalty(Outcome {
+                predicted,
+                cache_hit,
+                buffer_hit,
+            });
+            if compressed && !buffer_hit {
+                // The Table-1 penalty charged on an L0 fill is the
+                // modelled fetch+decompress stall for this block.
+                if let Some(t) = tracer.as_mut() {
+                    t.fetch(
+                        seq,
+                        r.cycles,
+                        cur,
+                        FetchEventKind::DecodeStall {
+                            cycles: pen.cycles(lines),
+                        },
+                    );
+                }
+            }
+            r.cycles += pen.cycles(lines) as u64 + (info.num_mops as u64).saturating_sub(1);
+
+            // Predict the next block from this block's entry, then train.
+            if let Some(n) = next {
+                predicted_cur = Some(match &gshare {
+                    Some(g) => {
+                        if g.predict_taken(cur) {
+                            path.atb.last_target(cur).unwrap_or(cur + 1)
+                        } else {
+                            cur + 1
+                        }
+                    }
+                    None => path.atb.predict_next(cur),
+                });
+                if let Some(g) = &mut gshare {
+                    g.train(cur, n != cur + 1);
+                }
+                path.atb.train(cur, n);
+            }
+        }
+
+        path.harvest(&mut r);
+        if let Some(t) = &tracer {
+            t.reconcile(&r);
+        }
+        (r, stats)
+    }
+}
+
+/// The fetch structures both fetch models drive — ATB, banked ICache, L0
+/// buffer and memory bus — built from one [`FetchConfig`].
+pub(crate) struct FetchPath {
+    pub(crate) atb: Atb,
+    pub(crate) cache: BankedCache,
+    pub(crate) buffer: L0Buffer,
+    pub(crate) bus: BusModel,
+    /// Decompression sits behind the L0 buffer (Compressed only).
+    pub(crate) compressed: bool,
+    /// Block addresses go through the ATT (Compressed and Tailored).
+    pub(crate) translated: bool,
+}
+
+impl FetchPath {
+    pub(crate) fn new(config: &FetchConfig) -> FetchPath {
+        FetchPath {
+            atb: Atb::new(config.atb_entries),
+            cache: BankedCache::new(config.cache),
+            buffer: L0Buffer::new(config.l0_ops),
+            bus: BusModel::new(),
+            compressed: config.class == EncodingClass::Compressed,
+            translated: matches!(
+                config.class,
+                EncodingClass::Compressed | EncodingClass::Tailored
+            ),
+        }
+    }
+
+    /// Copies the structures' hit/miss and bus counters into `r`.
+    pub(crate) fn harvest(&self, r: &mut FetchResult) {
+        r.cache_hits = self.cache.hits();
+        r.cache_misses = self.cache.misses();
+        r.buffer_hits = self.buffer.hits();
+        r.buffer_misses = self.buffer.misses();
+        r.atb_hits = self.atb.hits();
+        r.atb_misses = self.atb.misses();
+        r.bus_beats = self.bus.beats();
+        r.bus_bit_flips = self.bus.bit_flips();
+    }
 }
 
 /// One block through the decompressor with the healing protocol every
@@ -428,17 +691,20 @@ pub fn simulate_decoded_injected(
 /// the program. A block only lands in `decode_errors` if both paths
 /// reject it (genuinely corrupt bytes).
 fn decode_block_healed(
-    codec: &dyn BlockCodec,
+    decoder: &Decoder,
     program: &Program,
     image: &EncodedProgram,
     block: usize,
     num_ops: usize,
     stats: &mut DecodeStats,
-    failpoints: Option<&Failpoints>,
 ) -> Result<Vec<u64>, BlockDecodeError> {
+    let codec = decoder.codec;
     stats.blocks_decoded += 1;
     let mut counters = DecodeCounters::default();
-    let primary = if failpoints.is_some_and(|fp| fp.check(sites::DECODE_LUT).is_some()) {
+    let primary = if decoder
+        .failpoints
+        .is_some_and(|fp| fp.check(sites::DECODE_LUT).is_some())
+    {
         Err(BlockDecodeError::BadValue {
             field: "injected failpoint: decode.lut",
         })
@@ -487,239 +753,12 @@ impl Tracer<'_> {
         self.counts.add(&ev);
         self.sink.record(ev);
     }
-}
 
-#[allow(clippy::too_many_arguments)]
-fn simulate_inner(
-    program: &Program,
-    image: &EncodedProgram,
-    att: &AddressTranslationTable,
-    trace: &BlockTrace,
-    config: &FetchConfig,
-    mut decode: Option<(&dyn BlockCodec, &mut DecodeStats)>,
-    failpoints: Option<&Failpoints>,
-    sink: Option<&mut dyn TraceSink>,
-) -> FetchResult {
-    let mut tracer = sink.map(|sink| Tracer {
-        sink,
-        counts: EventCounts::default(),
-    });
-    let mut atb = Atb::new(config.atb_entries);
-    let mut gshare = match config.predictor {
-        PredictorKind::Gshare { history_bits } => Some(Gshare::new(history_bits)),
-        PredictorKind::AtbTwoBit => None,
-    };
-    let mut cache = BankedCache::new(config.cache);
-    let mut buffer = L0Buffer::new(config.l0_ops);
-    let mut bus = BusModel::new();
-    let compressed = config.class == EncodingClass::Compressed;
-    let translated = matches!(
-        config.class,
-        EncodingClass::Compressed | EncodingClass::Tailored
-    );
-
-    let mut r = FetchResult {
-        class: config.class,
-        cycles: 0,
-        ops: 0,
-        mops: 0,
-        pred_correct: 0,
-        pred_wrong: 0,
-        cache_hits: 0,
-        cache_misses: 0,
-        buffer_hits: 0,
-        buffer_misses: 0,
-        atb_hits: 0,
-        atb_misses: 0,
-        bus_beats: 0,
-        bus_bit_flips: 0,
-        integrity_faults: 0,
-    };
-
-    // What the previous block's predictor said the current block would be
-    // (None for the very first block: treated as predicted — cold start).
-    let mut predicted_cur: Option<u32> = None;
-
-    let mut seq = 0u64;
-    for (cur, next) in trace.transitions() {
-        seq += 1;
-        let info = &program.blocks()[cur as usize];
-        r.ops += info.num_ops as u64;
-        r.mops += info.num_mops as u64;
-
-        if config.class == EncodingClass::Ideal {
-            r.cycles += info.num_mops as u64;
-            continue;
-        }
-
-        let predicted = predicted_cur.is_none_or(|p| p == cur);
-        if predicted_cur.is_some() {
-            if predicted {
-                r.pred_correct += 1;
-            } else {
-                r.pred_wrong += 1;
-            }
-            if let Some(t) = tracer.as_mut() {
-                let kind = if predicted {
-                    FetchEventKind::PredCorrect
-                } else {
-                    FetchEventKind::PredWrong
-                };
-                t.fetch(seq, r.cycles, cur, kind);
-            }
-        }
-
-        let entry = att.lookup(cur as usize);
-        let atb_hit = atb.access(cur, entry);
-        if let Some(t) = tracer.as_mut() {
-            let kind = if atb_hit {
-                FetchEventKind::AtbHit
-            } else {
-                FetchEventKind::AtbMiss {
-                    penalty: if translated {
-                        config.atb_miss_penalty
-                    } else {
-                        0
-                    },
-                }
-            };
-            t.fetch(seq, r.cycles, cur, kind);
-        }
-        if translated && !atb_hit {
-            r.cycles += config.atb_miss_penalty as u64;
-            // The entry just arrived from code memory: run its CRC-8
-            // self-check before letting it steer the fetch.
-            if !entry.self_check() {
-                r.integrity_faults += 1;
-                if let Some(t) = tracer.as_mut() {
-                    t.fetch(seq, r.cycles, cur, FetchEventKind::IntegrityFault);
-                }
-            }
-        }
-
-        let (start, end) = image.block_range(cur as usize);
-        let lines = config.cache.lines_spanned(start, end);
-
-        // The L0 buffer has priority over the main cache (paper §4): a
-        // buffer hit never touches the cache or the bus.
-        let buffer_hit = compressed && buffer.access(cur, info.num_ops as u32);
-        if compressed {
-            if let Some(t) = tracer.as_mut() {
-                let kind = if buffer_hit {
-                    FetchEventKind::L0Hit
-                } else {
-                    FetchEventKind::L0Fill {
-                        ops: info.num_ops as u32,
-                    }
-                };
-                t.fetch(seq, r.cycles, cur, kind);
-            }
-        }
-        if compressed && !buffer_hit {
-            // The decompressor engages: the block's compressed bits —
-            // whether they come from the cache or from memory — are
-            // decoded into the buffer before ops can issue.
-            if let Some((codec, stats)) = decode.as_mut() {
-                let _ = decode_block_healed(
-                    *codec,
-                    program,
-                    image,
-                    cur as usize,
-                    info.num_ops,
-                    stats,
-                    failpoints,
-                );
-            }
-        }
-        // Bank of the block's first line: lines interleave across the
-        // two banks of the Figure-8 fetch design.
-        let bank = ((start / config.cache.line_bytes as u64) % 2) as u8;
-        let cache_hit = if buffer_hit {
-            true
-        } else {
-            let access = cache.access_block(start, end);
-            if let Some(t) = tracer.as_mut() {
-                let kind = if access.hit {
-                    FetchEventKind::CacheHit { bank }
-                } else {
-                    FetchEventKind::CacheMiss {
-                        bank,
-                        lines: access.fetched_lines.len() as u32,
-                    }
-                };
-                t.fetch(seq, r.cycles, cur, kind);
-            }
-            for &l in &access.fetched_lines {
-                bus.transfer_line(&image.bytes, l, config.cache.line_bytes);
-            }
-            // Lines came in from ROM: check the block payload against
-            // the parity recorded in its ATT entry.
-            if translated
-                && !access.hit
-                && !entry.verify_payload(&image.bytes[start as usize..end as usize])
-            {
-                r.integrity_faults += 1;
-                if let Some(t) = tracer.as_mut() {
-                    t.fetch(seq, r.cycles, cur, FetchEventKind::IntegrityFault);
-                }
-            }
-            access.hit
-        };
-
-        let pen = config.penalties.penalty(Outcome {
-            predicted,
-            cache_hit,
-            buffer_hit,
-        });
-        if compressed && !buffer_hit {
-            // The Table-1 penalty charged on an L0 fill is the modelled
-            // fetch+decompress stall for this block.
-            if let Some(t) = tracer.as_mut() {
-                t.fetch(
-                    seq,
-                    r.cycles,
-                    cur,
-                    FetchEventKind::DecodeStall {
-                        cycles: pen.cycles(lines),
-                    },
-                );
-            }
-        }
-        r.cycles += pen.cycles(lines) as u64 + (info.num_mops as u64).saturating_sub(1);
-
-        // Predict the next block from this block's entry, then train.
-        if let Some(n) = next {
-            predicted_cur = Some(match &gshare {
-                Some(g) => {
-                    if g.predict_taken(cur) {
-                        atb.last_target(cur).unwrap_or(cur + 1)
-                    } else {
-                        cur + 1
-                    }
-                }
-                None => atb.predict_next(cur),
-            });
-            if let Some(g) = &mut gshare {
-                g.train(cur, n != cur + 1);
-            }
-            atb.train(cur, n);
-        }
-    }
-
-    r.cache_hits = cache.hits();
-    r.cache_misses = cache.misses();
-    r.buffer_hits = buffer.hits();
-    r.buffer_misses = buffer.misses();
-    r.atb_hits = atb.hits();
-    r.atb_misses = atb.misses();
-    r.bus_beats = bus.beats();
-    r.bus_bit_flips = bus.bit_flips();
-
-    // Traced runs must reconcile exactly: every counter the components
-    // accumulated has a matching stream of recorded events. A mismatch
-    // means an emission site drifted from the model — fail loudly.
-    if let Some(t) = &tracer {
-        let c = &t.counts;
+    /// Traced runs must reconcile exactly: every counter the components
+    /// accumulated has a matching stream of recorded events. A mismatch
+    /// means an emission site drifted from the model — fail loudly.
+    fn reconcile(&self, r: &FetchResult) {
+        let c = &self.counts;
         let pairs = [
             ("cache_hits", c.cache_hits, r.cache_hits),
             ("cache_misses", c.cache_misses, r.cache_misses),
@@ -740,7 +779,6 @@ fn simulate_inner(
             );
         }
     }
-    r
 }
 
 #[cfg(test)]
@@ -932,19 +970,18 @@ mod tests {
         let (start, _) = s.comp_img.block_range(hot);
         let mut bad = s.comp_img.clone();
         bad.bytes[start as usize] ^= 0x40;
-        let r = simulate_with_att(&s.program, &bad, &att, &s.trace, &FetchConfig::compressed());
+        let cfg = FetchConfig::compressed();
+        let (r, _) = Simulation::new(&cfg)
+            .with_att(&att)
+            .run(&s.program, &bad, &s.trace);
         assert!(
             r.integrity_faults > 0,
             "flipped payload bit must fail parity on the miss path"
         );
         // The clean image against its own table stays silent.
-        let ok = simulate_with_att(
-            &s.program,
-            &s.comp_img,
-            &att,
-            &s.trace,
-            &FetchConfig::compressed(),
-        );
+        let (ok, _) = Simulation::new(&cfg)
+            .with_att(&att)
+            .run(&s.program, &s.comp_img, &s.trace);
         assert_eq!(ok.integrity_faults, 0);
     }
 
@@ -955,13 +992,10 @@ mod tests {
         let hot = s.trace.transitions().next().unwrap().0 as usize;
         // Corrupt the stored entry without refreshing its CRC-8.
         att.entries_mut()[hot].num_mops ^= 1;
-        let r = simulate_with_att(
-            &s.program,
-            &s.comp_img,
-            &att,
-            &s.trace,
-            &FetchConfig::compressed(),
-        );
+        let cfg = FetchConfig::compressed();
+        let (r, _) = Simulation::new(&cfg)
+            .with_att(&att)
+            .run(&s.program, &s.comp_img, &s.trace);
         assert!(
             r.integrity_faults > 0,
             "corrupt entry must fail its self-check when the ATB loads it"
@@ -1084,6 +1118,22 @@ mod tests {
         assert_eq!(stats, DecodeStats::default());
     }
 
+    /// Every per-kind event total of a traced run equals the result's own
+    /// counter, and one decode stall was traced per L0 fill.
+    fn assert_reconciles(c: &EventCounts, r: &FetchResult) {
+        let class = r.class;
+        assert_eq!(c.cache_hits, r.cache_hits, "{class:?}: cache hits");
+        assert_eq!(c.cache_misses, r.cache_misses, "{class:?}: cache misses");
+        assert_eq!(c.buffer_hits, r.buffer_hits, "{class:?}: buffer hits");
+        assert_eq!(c.buffer_misses, r.buffer_misses, "{class:?}: buffer misses");
+        assert_eq!(c.atb_hits, r.atb_hits, "{class:?}: atb hits");
+        assert_eq!(c.atb_misses, r.atb_misses, "{class:?}: atb misses");
+        assert_eq!(c.pred_correct, r.pred_correct, "{class:?}: pred correct");
+        assert_eq!(c.pred_wrong, r.pred_wrong, "{class:?}: pred wrong");
+        assert_eq!(c.integrity_faults, r.integrity_faults, "{class:?}: faults");
+        assert_eq!(c.decode_stalls, r.buffer_misses, "{class:?}: decode stalls");
+    }
+
     #[test]
     fn traced_run_is_identical_and_reconciles_for_every_class() {
         use ccc_telemetry::{NoopSink, RingSink};
@@ -1096,17 +1146,13 @@ mod tests {
         ] {
             let plain = simulate(&s.program, img, &s.trace, &cfg);
             let mut ring = RingSink::new(1 << 22);
-            let traced = simulate_traced(&s.program, img, &s.trace, &cfg, &mut ring);
+            let (traced, _) = Simulation::new(&cfg)
+                .with_trace_sink(&mut ring)
+                .run(&s.program, img, &s.trace);
             assert_eq!(traced, plain, "{:?}: tracing must not steer", cfg.class);
+            assert_eq!(ring.dropped(), 0, "{:?}: ring dropped events", cfg.class);
             let c = ring.counts();
-            assert_eq!(c.cache_hits, plain.cache_hits, "{:?}", cfg.class);
-            assert_eq!(c.cache_misses, plain.cache_misses, "{:?}", cfg.class);
-            assert_eq!(c.buffer_hits, plain.buffer_hits, "{:?}", cfg.class);
-            assert_eq!(c.buffer_misses, plain.buffer_misses, "{:?}", cfg.class);
-            assert_eq!(c.atb_hits, plain.atb_hits, "{:?}", cfg.class);
-            assert_eq!(c.atb_misses, plain.atb_misses, "{:?}", cfg.class);
-            assert_eq!(c.pred_correct, plain.pred_correct, "{:?}", cfg.class);
-            assert_eq!(c.pred_wrong, plain.pred_wrong, "{:?}", cfg.class);
+            assert_reconciles(&c, &plain);
             assert_eq!(c.integrity_faults, 0, "{:?}", cfg.class);
             if cfg.class == EncodingClass::Ideal {
                 assert_eq!(c.total(), 0, "ideal fetch touches no structure");
@@ -1115,47 +1161,69 @@ mod tests {
             }
             // The no-op sink works too (and discards everything).
             let mut noop = NoopSink;
-            let quiet = simulate_traced(&s.program, img, &s.trace, &cfg, &mut noop);
-            assert_eq!(quiet, plain);
+            let (quiet, _) = Simulation::new(&cfg)
+                .with_trace_sink(&mut noop)
+                .run(&s.program, img, &s.trace);
+            assert_eq!(quiet, plain, "{:?}: noop sink must not steer", cfg.class);
         }
     }
 
     #[test]
-    fn traced_decoded_run_reports_decode_effort() {
+    fn traced_decoded_run_matches_untraced() {
         use ccc_telemetry::RingSink;
         let s = loopy();
         let out = FullScheme::default().compress(&s.program).unwrap();
-        let (plain, plain_stats) = simulate_decoded(
-            &s.program,
-            &out.image,
-            &s.trace,
-            &FetchConfig::compressed(),
-            out.codec.as_ref(),
-        );
+        let cfg = FetchConfig::compressed();
+        let (plain, plain_stats) =
+            simulate_decoded(&s.program, &out.image, &s.trace, &cfg, out.codec.as_ref());
         let mut ring = RingSink::new(1 << 22);
-        let (traced, stats) = simulate_decoded_traced(
-            &s.program,
-            &out.image,
-            &s.trace,
-            &FetchConfig::compressed(),
-            out.codec.as_ref(),
-            &mut ring,
-        );
-        assert_eq!(traced, plain);
-        assert_eq!(stats, plain_stats);
-        assert_eq!(stats.decode_errors, 0);
+        let (traced, stats) = Simulation::new(&cfg)
+            .with_decoder(Decoder {
+                codec: out.codec.as_ref(),
+                failpoints: None,
+            })
+            .with_trace_sink(&mut ring)
+            .run(&s.program, &out.image, &s.trace);
+        assert_eq!(traced, plain, "tracing changed the fetch result");
+        assert_eq!(stats, plain_stats, "tracing changed the decode stats");
+        assert_eq!(stats.decode_errors, 0, "clean image decodes cleanly");
         assert!(
             stats.stall_bits > 0,
             "huffman decode must consume codeword bits"
         );
-        // One decode-stall event per L0 fill, by construction.
-        assert_eq!(ring.counts().decode_stalls, traced.buffer_misses);
+        assert_reconciles(&ring.counts(), &traced);
         // Metrics recording is total-preserving.
         let reg = MetricsRegistry::new();
         traced.record_metrics(&reg);
         stats.record_metrics(&reg);
         assert_eq!(reg.counter("fetch.cycles").get(), traced.cycles);
         assert_eq!(reg.counter("decode.stall_bits").get(), stats.stall_bits);
+    }
+
+    #[test]
+    fn traced_run_with_injected_lut_faults_matches_clean_run() {
+        use ccc_telemetry::RingSink;
+        let s = loopy();
+        let out = FullScheme::default().compress(&s.program).unwrap();
+        let cfg = FetchConfig::compressed();
+        let clean = simulate(&s.program, &out.image, &s.trace, &cfg);
+        let fp = ccc_core::Failpoints::from_spec("decode.lut:0.5:error", 11).unwrap();
+        let mut ring = RingSink::new(1 << 22);
+        let (healed, stats) = Simulation::new(&cfg)
+            .with_decoder(Decoder {
+                codec: out.codec.as_ref(),
+                failpoints: Some(&fp),
+            })
+            .with_trace_sink(&mut ring)
+            .run(&s.program, &out.image, &s.trace);
+        // Degraded decodes stay invisible to the fetch path and the trace.
+        assert_eq!(healed, clean);
+        assert_eq!(ring.dropped(), 0);
+        assert_reconciles(&ring.counts(), &healed);
+        assert_eq!(stats.blocks_decoded, clean.buffer_misses);
+        assert!(fp.total_fired() > 0, "half the decodes must fault");
+        assert_eq!(stats.reference_fallbacks, fp.total_fired());
+        assert_eq!(stats.decode_errors, 0);
     }
 
     #[test]

@@ -21,6 +21,12 @@
 //!
 //! The metric of Figure 13 is **operations delivered per cycle**
 //! ([`engine::FetchResult::ipc`]) at issue width 6.
+//!
+//! Every block-fetch run goes through one [`Simulation`]: the
+//! configuration plus an optional compile-time ATT, [`Decoder`] and trace
+//! sink. [`simulate`], [`simulate_decoded`] and
+//! [`simulate_decoded_injected`] are one-line forwards to it;
+//! [`simulate_with_units`] is the separate span-fetch model.
 
 pub mod atb;
 pub mod buffer;
@@ -32,9 +38,8 @@ pub mod power;
 pub mod units;
 
 pub use engine::{
-    simulate, simulate_decoded, simulate_decoded_injected, simulate_decoded_traced,
-    simulate_traced, simulate_with_att, DecodeStats, EncodingClass, FetchConfig, FetchResult,
-    PredictorKind,
+    simulate, simulate_decoded, simulate_decoded_injected, DecodeStats, Decoder, EncodingClass,
+    FetchConfig, FetchResult, PredictorKind, Simulation,
 };
 pub use penalty::{Outcome, Penalty, PenaltyTable};
 pub use units::{simulate_with_units, FetchUnits};

@@ -11,12 +11,8 @@
 //! instead of per block — fewer prediction points and longer streaming
 //! runs, paid for by over-fetch when the trace leaves a unit early.
 
-use crate::atb::Atb;
-use crate::buffer::L0Buffer;
-use crate::cache::BankedCache;
-use crate::engine::{EncodingClass, FetchConfig, FetchResult};
+use crate::engine::{FetchConfig, FetchPath, FetchResult};
 use crate::penalty::Outcome;
-use crate::power::BusModel;
 use ccc_core::{AddressTranslationTable, EncodedProgram};
 use tepic_isa::Program;
 use yula::BlockTrace;
@@ -122,33 +118,8 @@ pub fn simulate_with_units(
     units: &FetchUnits,
 ) -> FetchResult {
     let att = AddressTranslationTable::build(program, image);
-    let mut atb = Atb::new(config.atb_entries);
-    let mut cache = BankedCache::new(config.cache);
-    let mut buffer = L0Buffer::new(config.l0_ops);
-    let mut bus = BusModel::new();
-    let compressed = config.class == EncodingClass::Compressed;
-    let translated = matches!(
-        config.class,
-        EncodingClass::Compressed | EncodingClass::Tailored
-    );
-
-    let mut r = FetchResult {
-        class: config.class,
-        cycles: 0,
-        ops: 0,
-        mops: 0,
-        pred_correct: 0,
-        pred_wrong: 0,
-        cache_hits: 0,
-        cache_misses: 0,
-        buffer_hits: 0,
-        buffer_misses: 0,
-        atb_hits: 0,
-        atb_misses: 0,
-        bus_beats: 0,
-        bus_bit_flips: 0,
-        integrity_faults: 0,
-    };
+    let mut path = FetchPath::new(config);
+    let mut r = FetchResult::zero(config.class);
 
     let blocks = trace.blocks();
     let mut i = 0usize;
@@ -184,8 +155,8 @@ pub fn simulate_with_units(
             }
         }
 
-        let atb_hit = atb.access(entry, att.lookup(entry as usize));
-        if translated && !atb_hit {
+        let atb_hit = path.atb.access(entry, att.lookup(entry as usize));
+        if path.translated && !atb_hit {
             r.cycles += config.atb_miss_penalty as u64;
         }
 
@@ -198,13 +169,17 @@ pub fn simulate_with_units(
         r.ops += span_ops;
         r.mops += span_mops;
 
-        let buffer_hit = compressed && buffer.access(entry, span_ops.min(u32::MAX as u64) as u32);
+        let buffer_hit = path.compressed
+            && path
+                .buffer
+                .access(entry, span_ops.min(u32::MAX as u64) as u32);
         let cache_hit = if buffer_hit {
             true
         } else {
-            let access = cache.access_block(start, end);
+            let access = path.cache.access_block(start, end);
             for &l in &access.fetched_lines {
-                bus.transfer_line(&image.bytes, l, config.cache.line_bytes);
+                path.bus
+                    .transfer_line(&image.bytes, l, config.cache.line_bytes);
             }
             access.hit
         };
@@ -219,19 +194,12 @@ pub fn simulate_with_units(
         // One prediction per unit exit.
         i += span;
         if i < blocks.len() {
-            predicted_entry = Some(atb.predict_next(last));
-            atb.train(last, blocks[i]);
+            predicted_entry = Some(path.atb.predict_next(last));
+            path.atb.train(last, blocks[i]);
         }
     }
 
-    r.cache_hits = cache.hits();
-    r.cache_misses = cache.misses();
-    r.buffer_hits = buffer.hits();
-    r.buffer_misses = buffer.misses();
-    r.atb_hits = atb.hits();
-    r.atb_misses = atb.misses();
-    r.bus_beats = bus.beats();
-    r.bus_bit_flips = bus.bit_flips();
+    path.harvest(&mut r);
     r
 }
 

@@ -157,4 +157,8 @@ cargo fmt --all -- --check
 echo "==> cargo clippy -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings
 
+echo "==> cargo doc -D warnings"
+# Broken or ambiguous intra-doc links (e.g. to a deleted function) fail.
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps
+
 echo "All checks passed."

@@ -709,15 +709,14 @@ fn trace_cmd(args: &[String]) -> ExitCode {
 
     let mut fetch_sink = sink.clone();
     let sim_start = clock.now_ns();
-    let (result, dstats) = match &codec {
-        Some(c) => {
-            simulate_decoded_traced(&program, &image, &btrace, &cfg, c.as_ref(), &mut fetch_sink)
-        }
-        None => (
-            simulate_traced(&program, &image, &btrace, &cfg, &mut fetch_sink),
-            DecodeStats::default(),
-        ),
-    };
+    let decoder = codec.as_deref().map(|codec| Decoder {
+        codec,
+        failpoints: None,
+    });
+    let (result, dstats) = Simulation::new(&cfg)
+        .with_decoder(decoder)
+        .with_trace_sink(&mut fetch_sink)
+        .run(&program, &image, &btrace);
     let sim_ns = clock.now_ns().saturating_sub(sim_start);
     sink.record(TraceEvent::Span {
         name: "simulate",
@@ -914,19 +913,12 @@ fn chaos_cmd(args: &[String]) -> ExitCode {
                 .compress(&p.program)
                 .map_err(|e| format!("{}: compress: {e}", p.workload.name))?;
             let cfg = FetchConfig::compressed();
-            let (r, ds) = match fp {
-                Some(fp) => simulate_decoded_injected(
-                    &p.program,
-                    &full.image,
-                    &p.trace,
-                    &cfg,
-                    full.codec.as_ref(),
-                    fp,
-                ),
-                None => {
-                    simulate_decoded(&p.program, &full.image, &p.trace, &cfg, full.codec.as_ref())
-                }
-            };
+            let (r, ds) = Simulation::new(&cfg)
+                .with_decoder(Decoder {
+                    codec: full.codec.as_ref(),
+                    failpoints: fp,
+                })
+                .run(&p.program, &full.image, &p.trace);
             fallbacks += ds.reference_fallbacks;
             out.push(r);
         }

@@ -17,7 +17,7 @@
 //! * [`fetch`] — the IFetch simulator (banked ICache, ATB + branch
 //!   prediction, L0 buffer, Table-1 cycle model, bus power);
 //! * [`workloads`] — eight SPECint95-class benchmark stand-ins;
-//! * [`bench`] — the experiment harness: the parallel prepared-workload
+//! * [`mod@bench`] — the experiment harness: the parallel prepared-workload
 //!   engine with its content-addressed artifact cache, and the pure
 //!   figure renderers;
 //! * [`telemetry`] — the unified observability layer: metrics registry,
@@ -65,8 +65,8 @@ pub mod prelude {
     };
     pub use ccc_telemetry::{MetricsRegistry, RingSink, SharedSink, TraceSink};
     pub use ifetch_sim::{
-        simulate, simulate_decoded, simulate_decoded_injected, simulate_decoded_traced,
-        simulate_traced, DecodeStats, EncodingClass, FetchConfig, FetchResult, PenaltyTable,
+        simulate, simulate_decoded, simulate_decoded_injected, DecodeStats, Decoder, EncodingClass,
+        FetchConfig, FetchResult, PenaltyTable, Simulation,
     };
     pub use lego;
     pub use tepic_isa::Program;

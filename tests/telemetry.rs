@@ -1,108 +1,14 @@
 //! Integration tests for the unified telemetry layer (DESIGN.md §12):
-//! tracing must observe without steering (traced runs bit-identical to
-//! untraced ones for every encoding class), histogram accounting must
-//! conserve samples, and the Chrome-trace exporter must emit JSON that
-//! round-trips through the in-crate parser with its event totals intact.
+//! histogram accounting must conserve samples, and the Chrome-trace
+//! exporter must emit JSON that round-trips through the in-crate parser
+//! with its event totals intact. That tracing observes without steering
+//! is tested next to the fetch loop, in `ifetch-sim`'s engine tests.
 
 use proptest::prelude::*;
 use tepic_ccc::prelude::*;
 use tepic_ccc::telemetry::{
-    chrome_trace_json, parse_json, EventCounts, FetchEventKind, JsonValue, NoopSink, TraceEvent,
-    TraceMeta,
+    chrome_trace_json, parse_json, EventCounts, FetchEventKind, JsonValue, TraceEvent, TraceMeta,
 };
-
-fn program_and_trace() -> (Program, yula::BlockTrace) {
-    let program = lego::compile(
-        "fn main() { var i; var s = 0; \
-         for (i = 0; i < 120; i = i + 1) { \
-         if (i < 60) { s = s + i; } else { s = s - 1; } } print(s); }",
-        &lego::Options::default(),
-    )
-    .expect("test program compiles");
-    let run = Emulator::new(&program)
-        .run(&Limits::default())
-        .expect("test program runs");
-    (program, run.trace)
-}
-
-/// The tentpole invariant: with tracing attached, the `FetchResult` is
-/// byte-identical across all four encoding classes, and the recorded
-/// event totals reconcile with the result's own counters.
-#[test]
-fn traced_fetch_is_bit_identical_for_every_class() {
-    let (program, trace) = program_and_trace();
-    for (entry, class) in [
-        (schemes::BASE, EncodingClass::Ideal),
-        (schemes::BASE, EncodingClass::Base),
-        (schemes::TAILORED, EncodingClass::Tailored),
-        (schemes::FULL, EncodingClass::Compressed),
-    ] {
-        let name = format!("{class:?}");
-        let img = &entry.build().compress(&program).expect("compresses").image;
-        let cfg = FetchConfig::for_class(class);
-        let plain = simulate(&program, img, &trace, &cfg);
-        let mut ring = RingSink::new(1 << 20);
-        let traced = simulate_traced(&program, img, &trace, &cfg, &mut ring);
-        assert_eq!(plain, traced, "{name}: tracing changed the result");
-        let mut noop = NoopSink;
-        let nooped = simulate_traced(&program, img, &trace, &cfg, &mut noop);
-        assert_eq!(plain, nooped, "{name}: noop sink changed the result");
-
-        let c = ring.counts();
-        assert_eq!(ring.dropped(), 0, "{name}: ring dropped events");
-        assert_eq!(c.cache_hits, plain.cache_hits, "{name}: cache hits");
-        assert_eq!(c.cache_misses, plain.cache_misses, "{name}: cache misses");
-        assert_eq!(c.atb_hits, plain.atb_hits, "{name}: atb hits");
-        assert_eq!(c.atb_misses, plain.atb_misses, "{name}: atb misses");
-        assert_eq!(c.pred_correct, plain.pred_correct, "{name}: pred correct");
-        assert_eq!(c.pred_wrong, plain.pred_wrong, "{name}: pred wrong");
-        assert_eq!(c.buffer_hits, plain.buffer_hits, "{name}: buffer hits");
-        assert_eq!(
-            c.buffer_misses, plain.buffer_misses,
-            "{name}: buffer misses"
-        );
-        assert_eq!(
-            c.integrity_faults, plain.integrity_faults,
-            "{name}: integrity faults"
-        );
-        if class == EncodingClass::Ideal {
-            assert_eq!(c.total(), 0, "ideal touches no fetch structures");
-        } else {
-            assert!(c.total() > 0, "{name}: no events traced");
-        }
-    }
-}
-
-/// The decoded variant: both the result and the decode statistics are
-/// identical to the untraced run, and every L0 fill produced exactly
-/// one decode-stall event.
-#[test]
-fn traced_decoded_run_matches_untraced() {
-    let (program, trace) = program_and_trace();
-    let out = schemes::full::FullScheme::default()
-        .compress(&program)
-        .expect("full compresses");
-    let cfg = FetchConfig::compressed();
-    let (r0, s0) = simulate_decoded(&program, &out.image, &trace, &cfg, out.codec.as_ref());
-    let mut ring = RingSink::new(1 << 20);
-    let (r1, s1) = simulate_decoded_traced(
-        &program,
-        &out.image,
-        &trace,
-        &cfg,
-        out.codec.as_ref(),
-        &mut ring,
-    );
-    assert_eq!(r0, r1, "tracing changed the fetch result");
-    assert_eq!(s0, s1, "tracing changed the decode stats");
-    assert!(s0.stall_bits > 0, "real decodes consume codeword bits");
-    assert_eq!(s0.decode_errors, 0, "clean image decodes cleanly");
-    assert_eq!(
-        ring.counts().decode_stalls,
-        r0.buffer_misses,
-        "one decode-stall event per L0 fill"
-    );
-}
 
 fn fetch_kind() -> impl Strategy<Value = FetchEventKind> {
     prop_oneof![
